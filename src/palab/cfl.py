@@ -1,7 +1,8 @@
 """Generic CFL/Dyck reachability over labeled digraphs.
 
-`all_pairs` saturates summary edges with the classic worklist closure over a
-binarized grammar; `st_query` runs the same engine with an early exit. The
+`all_pairs` saturates summary edges with a semi-naive worklist closure over
+a binarized grammar, one bitset row of targets per (symbol, source);
+`st_query` runs the same engine with an early exit. The
 built-in grammars (Dyck-1, generalized Dyck, and the two points-to-analysis
 reachability grammars over PEG labels) live here too, together with a
 terminal Follow-set analysis and an Earley membership check used as an
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 from .model import (
     AlphabetMismatchError,
@@ -124,10 +126,6 @@ class NormalizedGrammar:
     nullable: frozenset[str]
     helper_map: dict[str, tuple[str, tuple[str, ...]]]
 
-    @property
-    def helpers(self) -> frozenset[str]:
-        return frozenset(self.helper_map)
-
 
 def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
     """Split long productions with fresh helpers and pre-compute nullability.
@@ -217,17 +215,49 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
 # ---------------------------------------------------------------------------
 # saturation
 
+def _ones(bits: int) -> list[int]:
+    """Indices of the set bits of a bitset, ascending."""
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(low.bit_length() - 1)
+        bits ^= low
+    return found
+
+
 @dataclass(frozen=True)
 class SummarySet:
-    """All derived (source, symbol, target) summary edges of a saturation."""
+    """All derived (source, symbol, target) summary edges of a saturation.
 
-    summaries: frozenset[tuple[int, str, int]]
+    `by_symbol` holds, in symbol order, one tuple of bitset rows for each
+    symbol with a summary: bit v of row u is set iff (u, symbol, v) holds.
+    Trailing empty rows are dropped, so equal summary sets are equal values.
+    """
+
+    by_symbol: tuple[tuple[str, tuple[int, ...]], ...]
+
+    @cached_property
+    def _rows(self) -> dict[str, tuple[int, ...]]:
+        return dict(self.by_symbol)
+
+    @property
+    def summaries(self) -> frozenset[tuple[int, str, int]]:
+        return frozenset(
+            (u, sym, v) for sym, _ in self.by_symbol for u, v in self.ordered_pairs(sym)
+        )
 
     def holds(self, src: int, symbol: str, dst: int) -> bool:
-        return (src, symbol, dst) in self.summaries
+        rows = self._rows.get(symbol, ())
+        return 0 <= src < len(rows) and dst >= 0 and bool(rows[src] >> dst & 1)
 
     def pairs(self, symbol: str) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, sym, v in self.summaries if sym == symbol)
+        return frozenset(self.ordered_pairs(symbol))
+
+    def ordered_pairs(self, symbol: str) -> Iterator[tuple[int, int]]:
+        """The (source, target) pairs of one symbol in ascending order."""
+        for u, row in enumerate(self._rows.get(symbol, ())):
+            for v in _ones(row):
+                yield u, v
 
 
 def _check_alphabet(graph: LabeledDigraph, grammar: Grammar):
@@ -236,14 +266,22 @@ def _check_alphabet(graph: LabeledDigraph, grammar: Grammar):
         raise AlphabetMismatchError(offending)
 
 
-def _saturate(
+def _closure(
     graph: LabeledDigraph,
     norm: NormalizedGrammar,
     target: Optional[tuple[int, str, int]] = None,
 ):
-    """Worklist closure; returns (summaries, symbol table, hit). With a
-    target the scan stops as soon as that summary is derived; without one
-    it always runs to the fixpoint."""
+    """Semi-naive saturation over bitset rows; returns (out, symbol table, hit).
+
+    out[X][u] is the bitset of the targets v of the summaries (u, X, v), X a
+    symbol code. New targets of a row wait as one coalesced delta per
+    (X, u). Popping a delta D of X at row u joins L -> X Y by OR-ing the
+    out[Y] rows over the bits of D into out[L][u], and L -> Y X by OR-ing D
+    into out[L][w] for each w in in[Y][u]; the column index in[Y][v] (the
+    sources w of (w, Y, v)) is kept only for left operands Y. With a target
+    the loop stops at the first pop after its bit lands; without one it
+    always runs to the fixpoint.
+    """
     symbols: dict[str, int] = {}
 
     def code(sym: str) -> int:
@@ -252,80 +290,101 @@ def _saturate(
             got = symbols[sym] = len(symbols)
         return got
 
-    unit_by: dict[int, list[int]] = {}
-    left_pairs: dict[int, list[tuple[int, int]]] = {}   # on X: rules L -> X Y
-    right_pairs: dict[int, list[tuple[int, int]]] = {}  # on Y: rules L -> X Y
+    unit_by: dict[int, list[int]] = {}                # on X: rules L -> X
+    left_of: dict[int, list[tuple[int, int]]] = {}    # on X: rules L -> X Y, as (Y, L)
+    right_of: dict[int, list[tuple[int, int]]] = {}   # on X: rules L -> Y X, as (Y, L)
     for lhs, rhs in norm.binary_productions:
         lhs_c = code(lhs)
         if len(rhs) == 1:
             unit_by.setdefault(code(rhs[0]), []).append(lhs_c)
         else:
             x, y = code(rhs[0]), code(rhs[1])
-            left_pairs.setdefault(x, []).append((y, lhs_c))
-            right_pairs.setdefault(y, []).append((x, lhs_c))
-
-    seen: set[tuple[int, int, int]] = set()
-    work: deque[tuple[int, int, int]] = deque()
-    hit = False
-    target_c = None
+            left_of.setdefault(x, []).append((y, lhs_c))
+            right_of.setdefault(y, []).append((x, lhs_c))
+    for sym in sorted(graph.alphabet) + sorted(norm.nullable):
+        code(sym)
     if target is not None:
-        target_c = (target[0], code(target[1]), target[2])
+        ts, tc, tt = target[0], code(target[1]), target[2]
 
-    def add(u: int, sym_c: int, v: int) -> bool:
-        nonlocal hit
-        triple = (u, sym_c, v)
-        if triple in seen:
-            return False
-        seen.add(triple)
-        work.append(triple)
-        if triple == target_c:
-            hit = True
-        return hit
+    n = graph.node_count
+    out = [[0] * n for _ in symbols]
+    inn = [[0] * n if c in left_of else None for c in range(len(symbols))]
+    delta = [[0] * n for _ in symbols]
+    work: deque[tuple[int, int]] = deque()
+
+    def add(c: int, u: int, bits: int):
+        row = out[c]
+        new = bits & ~row[u]
+        if not new:
+            return
+        row[u] |= new
+        col = inn[c]
+        if col is not None:
+            mark = 1 << u
+            for v in _ones(new):
+                col[v] |= mark
+        pending = delta[c]
+        if not pending[u]:
+            work.append((c, u))
+        pending[u] |= new
 
     for src, label, dst in sorted(graph.edges):
-        if add(src, code(label), dst) and target is not None:
-            return seen, symbols, True
+        add(symbols[label], src, 1 << dst)
     for sym in sorted(norm.nullable):
-        sym_c = code(sym)
-        for v in range(graph.node_count):
-            if add(v, sym_c, v) and target is not None:
-                return seen, symbols, True
+        for v in range(n):
+            add(symbols[sym], v, 1 << v)
 
-    # adjacency indexed at pop time: every ordered join is formed exactly
-    # once, when its later constituent is popped
-    out_by: dict[tuple[int, int], list[int]] = {}
-    in_by: dict[tuple[int, int], list[int]] = {}
     while work:
-        u, x, v = work.popleft()
-        out_by.setdefault((x, u), []).append(v)
-        in_by.setdefault((x, v), []).append(u)
-        for lhs in unit_by.get(x, ()):
-            if add(u, lhs, v) and target is not None:
-                return seen, symbols, True
-        for y, lhs in left_pairs.get(x, ()):
-            for w in out_by.get((y, v), ()):
-                if add(u, lhs, w) and target is not None:
-                    return seen, symbols, True
-        for y, lhs in right_pairs.get(x, ()):
-            for w in in_by.get((y, u), ()):
-                if add(w, lhs, v) and target is not None:
-                    return seen, symbols, True
-    return seen, symbols, hit
+        if target is not None and out[tc][ts] >> tt & 1:
+            return out, symbols, True
+        c, u = work.popleft()
+        pending = delta[c]
+        d = pending[u]
+        pending[u] = 0
+        for lhs in unit_by.get(c, ()):
+            add(lhs, u, d)
+        lefts = left_of.get(c)
+        if lefts:
+            vs = _ones(d)
+            for y, lhs in lefts:
+                rows = out[y]
+                acc = 0
+                for v in vs:
+                    acc |= rows[v]
+                add(lhs, u, acc)
+        for y, lhs in right_of.get(c, ()):
+            for w in _ones(inn[y][u]):
+                add(lhs, w, d)
+    # every new bit queues its row, so a landed target is seen by a pop above
+    return out, symbols, False
+
+
+def _saturate(graph: LabeledDigraph, norm: NormalizedGrammar):
+    """The engine's raw output as (summary triples (u, symbol code, v),
+    symbol table, hit), helpers included, for experiments that compare
+    binarizations below the `all_pairs` projection."""
+    out, symbols, hit = _closure(graph, norm)
+    triples = {
+        (u, c, v) for c, rows in enumerate(out) for u, row in enumerate(rows) for v in _ones(row)
+    }
+    return triples, symbols, hit
 
 
 def all_pairs(graph: LabeledDigraph, grammar: Grammar) -> SummarySet:
     """Every summary (u, X, v) over the grammar's own symbols; nullable
     symbols contribute (v, X, v) for every node."""
     _check_alphabet(graph, grammar)
-    norm = normalize(grammar)
-    seen, symbols, _ = _saturate(graph, norm)
-    names = {c: sym for sym, c in symbols.items()}
+    out, symbols, _ = _closure(graph, normalize(grammar))
     keep = grammar.terminals | grammar.nonterminals
-    return SummarySet(
-        frozenset(
-            (u, names[x], v) for u, x, v in seen if names[x] in keep
-        )
-    )
+    by_symbol = []
+    for sym, c in sorted(symbols.items()):
+        rows = out[c]
+        end = len(rows)
+        while end and not rows[end - 1]:
+            end -= 1
+        if end and sym in keep:
+            by_symbol.append((sym, tuple(rows[:end])))
+    return SummarySet(tuple(by_symbol))
 
 
 def st_query(graph: LabeledDigraph, grammar: Grammar, s: int, t: int) -> bool:
@@ -338,7 +397,7 @@ def st_query(graph: LabeledDigraph, grammar: Grammar, s: int, t: int) -> bool:
     norm = normalize(grammar)
     if s == t and grammar.start in norm.nullable:
         return True
-    _, _, hit = _saturate(graph, norm, target=(s, grammar.start, t))
+    _, _, hit = _closure(graph, norm, target=(s, grammar.start, t))
     return hit
 
 

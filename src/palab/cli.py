@@ -18,7 +18,7 @@ from . import crosscheck as cc
 from . import textio
 from .andersen import solve
 from .cfl import all_pairs, builtin_grammar, st_query
-from .model import AnalysisError, StatementProfile
+from .model import AnalysisError, ParseError, StatementProfile
 from .reductions import bmm_to_d1, d1_to_program, triangle_to_st_d1
 
 
@@ -31,7 +31,21 @@ def _default_seed() -> int:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path}: {err}") from None
+
+
+def _sizes(text: str) -> list[int]:
+    """argparse type for --sizes: a comma-separated list of non-negative ints."""
+    try:
+        sizes = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of sizes: {text!r}") from None
+    if any(n < 0 for n in sizes):
+        raise argparse.ArgumentTypeError(f"sizes must be non-negative: {text!r}")
+    return sizes
 
 
 def _write(path: str, text: str):
@@ -76,10 +90,12 @@ def cmd_reach(args) -> int:
         print("reachable" if reachable else "unreachable")
         return 0 if reachable else 1
     summaries = all_pairs(graph, grammar)
-    for u, v in sorted(summaries.pairs(grammar.start)):
-        if u == v and not args.include_self:
-            continue
-        print(f"{graph.name_of(u)} -> {graph.name_of(v)}")
+    names = [graph.name_of(v) for v in range(graph.node_count)]
+    sys.stdout.write("".join(
+        f"{names[u]} -> {names[v]}\n"
+        for u, v in summaries.ordered_pairs(grammar.start)
+        if u != v or args.include_self
+    ))
     return 0
 
 
@@ -144,20 +160,22 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    for n in sizes:
+    """One row per size, labelled with the generated instance's own sizes
+    (rand_program draws fewer variables and statements than its caps)."""
+    for n in args.sizes:
         if args.suite == "reach-d1":
             graph = cc.rand_dyck_graph(n, 2 * n, args.seed)
             started = time.perf_counter()
             all_pairs(graph, builtin_grammar("d1"))
             elapsed = time.perf_counter() - started
-            print(f"n={n} m={2 * n} suite=reach-d1 seconds={elapsed:.4f}")
+            sizes = f"nodes={graph.node_count} edges={len(graph.edges)}"
         else:  # solve
             program = cc.rand_program(n, 2 * n, args.seed)
             started = time.perf_counter()
             solve(program)
             elapsed = time.perf_counter() - started
-            print(f"n={n} m={2 * n} suite=solve seconds={elapsed:.4f}")
+            sizes = f"vars={len(program.variables)} stmts={len(program.statements)}"
+        print(f"{sizes} suite={args.suite} seconds={elapsed:.4f}")
     return 0
 
 
@@ -216,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("bench", help="informational size-vs-time rows")
-    p.add_argument("--sizes", required=True, help="comma-separated sizes, e.g. 50,100,200")
+    p.add_argument(
+        "--sizes", required=True, type=_sizes, help="comma-separated sizes, e.g. 50,100,200"
+    )
     p.add_argument("--suite", default="reach-d1", choices=["reach-d1", "solve"])
     p.add_argument("--seed", type=int, default=seed_default)
     p.set_defaults(func=cmd_bench)

@@ -232,10 +232,15 @@ class LabeledDigraph:
             return self.node_names[node]
         return str(node)
 
+    @cached_property
+    def _node_ids(self) -> dict[str, int]:
+        return {name: node for node, name in enumerate(self.node_names or ())}
+
     def resolve(self, token: str) -> int:
         """Map a node name or integer token to a node id."""
-        if self.node_names is not None and token in self.node_names:
-            return self.node_names.index(token)
+        node = self._node_ids.get(token)
+        if node is not None:
+            return node
         try:
             node = int(token)
         except ValueError:
@@ -243,9 +248,6 @@ class LabeledDigraph:
         if not 0 <= node < self.node_count:
             raise InvalidNodeError(f"node {node} out of range")
         return node
-
-    def degree_nonzero(self, node: int) -> bool:
-        return any(src == node or dst == node for src, _, dst in self.edges)
 
 
 DYCK_OPEN, DYCK_CLOSE = "[1", "]1"

@@ -158,8 +158,9 @@ def d1_to_program(
         temp_counter += 1
         return Variable(f"t{temp_counter}")
 
+    touched = {node for src, _, dst in graph.edges for node in (src, dst)}
     for v in range(graph.node_count):
-        if prune_isolated and not graph.degree_nonzero(v):
+        if prune_isolated and v not in touched:
             continue
         qvar = Variable(base[v])
         avar = Variable(base[v] + "'")

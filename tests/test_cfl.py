@@ -133,3 +133,28 @@ def test_membership_oracle_spot_checks():
     assert not derives(D1, "D1", ("]1", "[1"))
     assert derives(D1, "[1", ("[1",))
     assert not derives(D1, "[1", ())
+
+
+def test_st_query_early_exit_agrees_with_all_pairs():
+    import random
+
+    from palab.crosscheck import rand_dyck_graph, rand_program
+
+    cases = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        cases.append((rand_dyck_graph(n, rng.randint(0, 2 * n), seed), builtin_grammar("d1")))
+        labels = ["[1", "]1", "[2", "]2"]
+        edges = {(rng.randrange(n), rng.choice(labels), rng.randrange(n)) for _ in range(2 * n)}
+        cases.append((LabeledDigraph(n, labels, edges), builtin_grammar("dyck:2")))
+        peg = build_peg(rand_program(8, 16, seed))
+        cases += [(peg.graph, PT), (peg.graph, builtin_grammar("pt_prime"))]
+    for trial, (g, grammar) in enumerate(cases):
+        summaries = all_pairs(g, grammar)
+        assert summaries == all_pairs(g, grammar), trial
+        for s in range(g.node_count):
+            for t in range(g.node_count):
+                assert st_query(g, grammar, s, t) == summaries.holds(s, grammar.start, t), (
+                    trial, s, t,
+                )

@@ -194,3 +194,35 @@ def test_gen_program_and_simple_graph(workdir, capsys):
 def test_bench_solve_suite(capsys):
     assert main(["bench", "--sizes", "10,20", "--suite", "solve", "--seed", "1"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_bench_rows_carry_the_instance_sizes(capsys):
+    from palab.crosscheck import rand_program
+
+    assert main(["bench", "--sizes", "200", "--suite", "solve", "--seed", "1"]) == 0
+    program = rand_program(200, 400, 1)
+    row = capsys.readouterr().out
+    assert row.startswith(f"vars={len(program.variables)} stmts={len(program.statements)} ")
+    assert main(["bench", "--sizes", "10", "--suite", "reach-d1", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.startswith("nodes=10 edges=20 suite=reach-d1 ")
+
+
+@pytest.mark.parametrize("sizes", ["10,x", "-5", "1.5"])
+def test_bench_rejects_bad_sizes_with_usage(sizes, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "--sizes", sizes])
+    assert err.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["reach", "--grammar", "d1"], ["reduce", "d1-to-pa", "-o", "out.pa"]],
+)
+def test_undecodable_input_exits_2_without_traceback(workdir, capsys, argv):
+    bad = workdir / "bad.in"
+    bad.write_bytes(b"\xff\xfe")
+    argv = [arg if arg != "out.pa" else str(workdir / arg) for arg in argv]
+    assert main([*argv, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
