@@ -121,7 +121,6 @@ class NormalizedGrammar:
     unit rules, so the start-symbol reachability is unchanged.
     """
 
-    original: Grammar
     binary_productions: tuple[tuple[str, tuple[str, ...]], ...]
     nullable: frozenset[str]
     helper_map: dict[str, tuple[str, tuple[str, ...]]]
@@ -205,7 +204,6 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
             deduped.append(rule)
 
     return NormalizedGrammar(
-        original=grammar,
         binary_productions=tuple(deduped),
         nullable=frozenset(n for n in nullable if n in grammar.nonterminals),
         helper_map=helper_map,

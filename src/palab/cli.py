@@ -142,16 +142,10 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "matrix":
-        text = textio.serialize_matrix(cc.rand_matrix(args.n, args.density, args.seed))
-    elif args.kind == "program":
-        text = textio.serialize_program(cc.rand_program(args.n, args.stmts, args.seed))
-    elif args.kind == "dyck-graph":
-        text = textio.serialize_graph(cc.rand_dyck_graph(args.n, args.m, args.seed))
-    else:  # simple-graph
-        text = textio.serialize_graph(
-            cc.rand_simple_graph(args.n, args.density, args.seed, args.directed)
-        )
+    params = dict(vars(args), max_vars=args.n, max_stmts=args.stmts)
+    instance = cc.rand_instance(args.kind.replace("-", "_"), params, args.seed)
+    serialize = {"matrix": textio.serialize_matrix, "program": textio.serialize_program}
+    text = serialize.get(args.kind, textio.serialize_graph)(instance)
     if args.output:
         _write(args.output, text)
     else:

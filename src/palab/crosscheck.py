@@ -108,6 +108,11 @@ def triangle_oracle(graph: LabeledDigraph, directed: bool = False) -> bool:
 # ---------------------------------------------------------------------------
 # seeded random instances
 
+def _pick(rng: random.Random, k: int) -> int:
+    """A uniform draw from range(k); the min guards against float rounding."""
+    return min(int(rng.random() * k), k - 1)
+
+
 def rand_matrix(n: int, density: float, seed: int) -> BooleanMatrix:
     if n < 1 or not 0.0 <= density <= 1.0:
         raise InvalidParamsError("need n >= 1 and density in [0, 1]")
@@ -124,17 +129,15 @@ def rand_program(max_vars: int, max_stmts: int, seed: int) -> Program:
         raise InvalidParamsError("need max_vars >= 1 and max_stmts >= 1")
     rng = random.Random(seed)
 
-    def pick(k: int) -> int:
-        return min(int(rng.random() * k), k - 1)
-
-    nvars = 1 + pick(max_vars)
-    nstmts = 1 + pick(max_stmts)
+    nvars = 1 + _pick(rng, max_vars)
+    nstmts = 1 + _pick(rng, max_stmts)
     variables = [Variable(f"v{i}") for i in range(nvars)]
     kinds = list(StatementKind)
     statements = []
     for _ in range(nstmts):
-        kind = kinds[pick(4)]
-        statements.append(Statement(kind, variables[pick(nvars)], variables[pick(nvars)]))
+        kind = kinds[_pick(rng, 4)]
+        lhs, rhs = variables[_pick(rng, nvars)], variables[_pick(rng, nvars)]
+        statements.append(Statement(kind, lhs, rhs))
     if all(st.kind is not StatementKind.ADDRESS_OF for st in statements):
         first = statements[0]
         statements[0] = Statement(StatementKind.ADDRESS_OF, first.lhs, first.rhs)
@@ -149,13 +152,10 @@ def rand_dyck_graph(n: int, m: int, seed: int) -> LabeledDigraph:
         raise InvalidParamsError(f"cannot place {m} distinct edges on {n} nodes")
     rng = random.Random(seed)
 
-    def pick(k: int) -> int:
-        return min(int(rng.random() * k), k - 1)
-
     edges: set[tuple[int, str, int]] = set()
     while len(edges) < m:
         label = DYCK_OPEN if rng.random() < 0.5 else DYCK_CLOSE
-        edges.add((pick(n), label, pick(n)))
+        edges.add((_pick(rng, n), label, _pick(rng, n)))
     return LabeledDigraph(n, DYCK_LABELS, edges)
 
 
@@ -248,7 +248,7 @@ def check_bmm_chain(
             a, b = worked_matrices()
         else:
             rng = random.Random(tseed)
-            n = 1 + min(int(rng.random() * n_max), n_max - 1)
+            n = 1 + _pick(rng, n_max)
             a = rand_matrix(n, 0.3, tseed + 1)
             b = rand_matrix(n, 0.3, tseed + 2)
         expected = bmm_oracle(a, b)
@@ -318,8 +318,8 @@ def check_pt_prime(trials: int, seed: int) -> CheckReport:
             graph = worked_dyck_graph()
         else:
             rng = random.Random(tseed)
-            n = 1 + min(int(rng.random() * 10), 9)
-            m = min(int(rng.random() * 16), 15)
+            n = 1 + _pick(rng, 10)
+            m = _pick(rng, 16)
             graph = rand_dyck_graph(n, min(m, 2 * n * n), tseed + 1)
         program, pmap = d1_to_program(graph, StatementProfile.CASE1)
         peg = build_peg(program)
@@ -354,7 +354,7 @@ def check_triangle_chain(
             graph = worked_triangle_graph()
         else:
             rng = random.Random(tseed)
-            n = 3 + min(int(rng.random() * (n_max - 2)), n_max - 3)
+            n = 3 + _pick(rng, n_max - 2)
             graph = rand_simple_graph(n, 0.3, tseed + 1, directed)
         expected = triangle_oracle(graph, directed)
         inst = triangle_to_st_d1(graph, directed)

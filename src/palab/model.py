@@ -122,22 +122,6 @@ class Statement:
         return f"*{self.lhs} = {self.rhs}"
 
 
-def address_of(a: Union[Variable, str], b: Union[Variable, str]) -> Statement:
-    return Statement(StatementKind.ADDRESS_OF, as_variable(a), as_variable(b))
-
-
-def assign(a: Union[Variable, str], b: Union[Variable, str]) -> Statement:
-    return Statement(StatementKind.ASSIGN, as_variable(a), as_variable(b))
-
-
-def assign_star(a: Union[Variable, str], b: Union[Variable, str]) -> Statement:
-    return Statement(StatementKind.ASSIGN_STAR, as_variable(a), as_variable(b))
-
-
-def star_assign(a: Union[Variable, str], b: Union[Variable, str]) -> Statement:
-    return Statement(StatementKind.STAR_ASSIGN, as_variable(a), as_variable(b))
-
-
 @dataclass(frozen=True)
 class Program:
     """An ordered list of normalized statements.
@@ -189,6 +173,11 @@ class PointsToSolution:
 
 Edge = tuple[int, str, int]
 
+# Node ids in graph text and on the command line are ASCII integer literals,
+# and no node name may look like one. A bound method, so the test is a single
+# C call on the graph parser's per-token path; it returns a match or None.
+is_node_id = re.compile(r"-?[0-9]+").fullmatch
+
 
 @dataclass(frozen=True)
 class LabeledDigraph:
@@ -226,6 +215,9 @@ class LabeledDigraph:
                 raise InvalidParamsError("node_names length must equal node_count")
             if len(set(names)) != len(names):
                 raise InvalidParamsError("node names must be unique")
+            id_like = next(filter(is_node_id, names), None)
+            if id_like is not None:
+                raise InvalidParamsError(f"node name {id_like!r} reads as a node id")
 
     def name_of(self, node: int) -> str:
         if self.node_names is not None:
@@ -241,10 +233,9 @@ class LabeledDigraph:
         node = self._node_ids.get(token)
         if node is not None:
             return node
-        try:
-            node = int(token)
-        except ValueError:
-            raise InvalidNodeError(f"unknown node {token!r}") from None
+        if not is_node_id(token):
+            raise InvalidNodeError(f"unknown node {token!r}")
+        node = int(token)
         if not 0 <= node < self.node_count:
             raise InvalidNodeError(f"node {node} out of range")
         return node
@@ -331,9 +322,32 @@ class Grammar:
 # ---------------------------------------------------------------------------
 # statement-type profiles
 
+# Gadget templates: one (kind, lhs slot, rhs slot) per statement. Slots: "q"
+# and "a" are a node's query variable and its primed address variable, "u"
+# and "v" the two ends of an edge, and integers fresh temps (numbered t1,
+# t2, ... across the whole program in order of first use).
+_ADDR, _COPY, _LOAD, _STORE = StatementKind
+_STORE_EDGES = (((_ADDR, 1, "u"), (_STORE, "v", 1)), ((_ADDR, "u", 1), (_STORE, 1, "v")))
+_LOAD_EDGES = (((_LOAD, "u", "v"),), ((_ADDR, "u", "v"),))
+
+# profile -> (node gadget, open-edge gadget, close-edge gadget)
+_PROFILE_GADGETS = {
+    "case1": (((_LOAD, "q", 1), (_COPY, 1, 2), (_ADDR, 2, 3), (_ADDR, 3, "a")), *_STORE_EDGES),
+    "case2": (((_COPY, "q", 1), (_ADDR, 1, "a")), *_STORE_EDGES),
+    "case3": (((_LOAD, "q", 1), (_ADDR, 1, 2), (_ADDR, 2, "a")), *_STORE_EDGES),
+    "case4": (((_COPY, "q", 1), (_ADDR, 1, "a")), *_LOAD_EDGES),
+    "case5": (((_ADDR, "q", "a"),), *_STORE_EDGES),
+    "case6": (((_ADDR, "q", "a"),), *_LOAD_EDGES),
+}
+
+
+def _temp_count(gadget) -> int:
+    return len({slot for _, lhs, rhs in gadget for slot in (lhs, rhs) if isinstance(slot, int)})
+
+
 class StatementProfile(enum.Enum):
     """Which statement kinds (besides the mandatory address-of) a reduced
-    program may use. The node/edge gadget shapes follow from the kinds."""
+    program may use; `gadgets` gives the node and edge gadget shapes."""
 
     CASE1 = "case1"  # star-assign + assign-star + assign
     CASE2 = "case2"  # star-assign + assign
@@ -343,58 +357,27 @@ class StatementProfile(enum.Enum):
     CASE6 = "case6"  # assign-star
 
     @property
-    def uses_assign(self) -> bool:
-        return self in (StatementProfile.CASE1, StatementProfile.CASE2, StatementProfile.CASE4)
+    def gadgets(self) -> tuple:
+        """(node gadget, open-edge gadget, close-edge gadget) templates."""
+        return _PROFILE_GADGETS[self.value]
 
     @property
-    def uses_assign_star(self) -> bool:
-        return self in (
-            StatementProfile.CASE1,
-            StatementProfile.CASE3,
-            StatementProfile.CASE4,
-            StatementProfile.CASE6,
-        )
-
-    @property
-    def uses_star_assign(self) -> bool:
-        return self in (
-            StatementProfile.CASE1,
-            StatementProfile.CASE2,
-            StatementProfile.CASE3,
-            StatementProfile.CASE5,
-        )
+    def allowed_kinds(self) -> frozenset[StatementKind]:
+        return frozenset(kind for gadget in self.gadgets for kind, _, _ in gadget)
 
     @property
     def edges_via_star_assign(self) -> bool:
         """True if graph edges are encoded with star-assign gadgets; the
         remaining profiles encode them with assign-star/address-of pairs."""
-        return self.uses_star_assign
+        return any(kind is StatementKind.STAR_ASSIGN for kind, _, _ in self.gadgets[1])
 
     @property
     def temps_per_node(self) -> int:
-        return {
-            StatementProfile.CASE1: 3,
-            StatementProfile.CASE2: 1,
-            StatementProfile.CASE3: 2,
-            StatementProfile.CASE4: 1,
-            StatementProfile.CASE5: 0,
-            StatementProfile.CASE6: 0,
-        }[self]
+        return _temp_count(self.gadgets[0])
 
     @property
     def temps_per_edge(self) -> int:
-        return 1 if self.edges_via_star_assign else 0
-
-    @property
-    def allowed_kinds(self) -> frozenset[StatementKind]:
-        kinds = {StatementKind.ADDRESS_OF}
-        if self.uses_assign:
-            kinds.add(StatementKind.ASSIGN)
-        if self.uses_assign_star:
-            kinds.add(StatementKind.ASSIGN_STAR)
-        if self.uses_star_assign:
-            kinds.add(StatementKind.STAR_ASSIGN)
-        return frozenset(kinds)
+        return _temp_count(self.gadgets[1])
 
     @staticmethod
     def from_name(name: str) -> "StatementProfile":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import (
     LabeledDigraph,
@@ -29,13 +30,6 @@ LABEL_D = "d"
 PEG_BASE_LABELS = (LABEL_R, LABEL_S, LABEL_AS, LABEL_SA, LABEL_D)
 PEG_ALPHABET = frozenset(PEG_BASE_LABELS) | frozenset("-" + t for t in PEG_BASE_LABELS)
 
-_STATEMENT_LABEL = {
-    StatementKind.ADDRESS_OF: LABEL_R,
-    StatementKind.ASSIGN: LABEL_S,
-    StatementKind.ASSIGN_STAR: LABEL_AS,
-    StatementKind.STAR_ASSIGN: LABEL_SA,
-}
-
 
 def inverse_label(label: str) -> str:
     return label[1:] if label.startswith("-") else "-" + label
@@ -50,6 +44,15 @@ class ExprForm(enum.Enum):
         return ("&", "", "*")[self.value] + var.name
 
 
+# statement kind -> (label, source form, target form) of its program edge
+_STATEMENT_EDGE = {
+    StatementKind.ADDRESS_OF: (LABEL_R, ExprForm.VAR, ExprForm.ADDR),    # a -r-> &b
+    StatementKind.ASSIGN: (LABEL_S, ExprForm.VAR, ExprForm.VAR),         # a -s-> b
+    StatementKind.ASSIGN_STAR: (LABEL_AS, ExprForm.VAR, ExprForm.DEREF), # a -as-> *b
+    StatementKind.STAR_ASSIGN: (LABEL_SA, ExprForm.DEREF, ExprForm.VAR), # *a -sa-> b
+}
+
+
 @dataclass(frozen=True)
 class PEG:
     """Bidirected expression graph plus the node -> expression mapping."""
@@ -62,53 +65,32 @@ class PEG:
         base = 3 * self._var_index[var]
         return base + form.value
 
-    @property
+    @cached_property
     def _var_index(self) -> dict[Variable, int]:
-        cached = self.__dict__.get("_var_index_cache")
-        if cached is None:
-            cached = {var: i // 3 for i, (var, form) in enumerate(self.expr_of) if form is ExprForm.VAR}
-            self.__dict__["_var_index_cache"] = cached
-        return cached
+        return {var: i // 3 for i, (var, form) in enumerate(self.expr_of) if form is ExprForm.VAR}
 
 
 def build_peg(program: Program) -> PEG:
     """Construct the expression graph of a normalized program.
 
-    Per statement: a=&b inserts a -r-> &b, a=b inserts a -s-> b, a=*b
-    inserts a -as-> *b, *a=b inserts *a -sa-> b. Per variable v, the
-    dereference edges &v -d-> v and v -d-> *v are always present. Every
-    edge also gets its reverse with the barred label.
+    Per statement, one program edge from `_STATEMENT_EDGE`. Per variable
+    v, the dereference edges &v -d-> v and v -d-> *v are always present.
+    Every edge also gets its reverse with the barred label.
     """
     variables = program.variables
-    index = {v: i for i, v in enumerate(variables)}
-
-    def addr(v: Variable) -> int:
-        return 3 * index[v]
-
-    def var(v: Variable) -> int:
-        return 3 * index[v] + 1
-
-    def deref(v: Variable) -> int:
-        return 3 * index[v] + 2
-
+    index = {v: 3 * i for i, v in enumerate(variables)}
     edges: set[tuple[int, str, int]] = set()
 
     def insert(src: int, label: str, dst: int):
         edges.add((src, label, dst))
         edges.add((dst, inverse_label(label), src))
 
-    for v in variables:
-        insert(addr(v), LABEL_D, var(v))
-        insert(var(v), LABEL_D, deref(v))
+    for base in index.values():
+        insert(base, LABEL_D, base + 1)
+        insert(base + 1, LABEL_D, base + 2)
     for st in program.statement_set:
-        if st.kind is StatementKind.ADDRESS_OF:
-            insert(var(st.lhs), LABEL_R, addr(st.rhs))
-        elif st.kind is StatementKind.ASSIGN:
-            insert(var(st.lhs), LABEL_S, var(st.rhs))
-        elif st.kind is StatementKind.ASSIGN_STAR:
-            insert(var(st.lhs), LABEL_AS, deref(st.rhs))
-        else:
-            insert(deref(st.lhs), LABEL_SA, var(st.rhs))
+        label, sform, dform = _STATEMENT_EDGE[st.kind]
+        insert(index[st.lhs] + sform.value, label, index[st.rhs] + dform.value)
 
     expr_of = []
     names = []
@@ -122,22 +104,18 @@ def build_peg(program: Program) -> PEG:
 
 def peg_statements(peg: PEG) -> Program:
     """Recover the statement set encoded by a PEG's program edges."""
+    kind_of = {label: kind for kind, (label, _, _) in _STATEMENT_EDGE.items()}
     out: list[Statement] = []
     for src, label, dst in sorted(peg.graph.edges):
-        if label not in _STATEMENT_LABEL.values():
+        if label not in kind_of:
             continue
         svar, sform = peg.expr_of[src]
         dvar, dform = peg.expr_of[dst]
-        expect = {
-            LABEL_R: (ExprForm.VAR, ExprForm.ADDR, StatementKind.ADDRESS_OF),
-            LABEL_S: (ExprForm.VAR, ExprForm.VAR, StatementKind.ASSIGN),
-            LABEL_AS: (ExprForm.VAR, ExprForm.DEREF, StatementKind.ASSIGN_STAR),
-            LABEL_SA: (ExprForm.DEREF, ExprForm.VAR, StatementKind.STAR_ASSIGN),
-        }[label]
-        if sform is not expect[0] or dform is not expect[1]:
+        kind = kind_of[label]
+        if (label, sform, dform) != _STATEMENT_EDGE[kind]:
             raise MalformedPegError(
                 f"{label}-edge joins {sform.render(svar)} and {dform.render(dvar)}, "
                 "which reads back as no statement"
             )
-        out.append(Statement(expect[2], svar, dvar))
+        out.append(Statement(kind, svar, dvar))
     return Program(out)

@@ -30,10 +30,10 @@ from .model import (
     ReductionMap,
     SelfLoopError,
     Statement,
-    StatementKind,
     StatementProfile,
     Variable,
     is_identifier,
+    is_node_id,
 )
 from .cfl import all_pairs, dyck_grammar
 
@@ -130,84 +130,42 @@ def d1_to_program(
     reachability: u reaches v iff the query variable of u points to the
     primed address variable of v.
 
-    Node gadgets (by profile, temps fresh per gadget):
-        case1  v = *t1; t1 = t2; t2 = &t3; t3 = &v'
-        case3  v = *t1; t1 = &t2; t2 = &v'
-        case2 / case4  v = t1; t1 = &v'
-        case5 / case6  v = &v'
-    Edge gadgets:
-        star-assign style (cases 1/2/3/5):
-            open  (u, v):  t = &u; *v = t      close (u, v):  u = &t; *t = v
-        assign-star style (cases 4/6):
-            open  (u, v):  u = *v              close (u, v):  u = &v
-
-    `prune_isolated` drops the node gadgets of degree-0 nodes.
+    One node gadget per node, then one open or close gadget per edge in
+    sorted order, each instantiated from `profile.gadgets` (the table in
+    `model`); temps are fresh per gadget. `prune_isolated` drops the node
+    gadgets of degree-0 nodes.
     """
     graph = instance.graph if isinstance(instance, D1Instance) else instance
     bad = {label for _, label, _ in graph.edges} - DYCK_LABELS
     if bad:
         raise BadEdgeLabelError(f"non-Dyck-1 edge labels: {sorted(bad)}")
 
+    node_gadget, open_gadget, close_gadget = profile.gadgets
     base = _node_base_names(graph)
+    qvars = [Variable(name) for name in base]
     statements: list[Statement] = []
     forward: dict[int, tuple] = {}
-    temp_counter = 0
+    temps = 0
 
-    def fresh_temp() -> Variable:
-        nonlocal temp_counter
-        temp_counter += 1
-        return Variable(f"t{temp_counter}")
+    def emit(gadget, slots: dict):
+        nonlocal temps
+        for kind, lhs, rhs in gadget:
+            for slot in (lhs, rhs):
+                if slot not in slots:  # a temp's first use
+                    temps += 1
+                    slots[slot] = Variable(f"t{temps}")
+            statements.append(Statement(kind, slots[lhs], slots[rhs]))
 
     touched = {node for src, _, dst in graph.edges for node in (src, dst)}
     for v in range(graph.node_count):
         if prune_isolated and v not in touched:
             continue
-        qvar = Variable(base[v])
-        avar = Variable(base[v] + "'")
+        qvar, avar = qvars[v], Variable(base[v] + "'")
         forward[v] = (qvar, avar)
-        if profile is StatementProfile.CASE1:
-            t1, t2, t3 = fresh_temp(), fresh_temp(), fresh_temp()
-            statements += [
-                Statement(StatementKind.ASSIGN_STAR, qvar, t1),
-                Statement(StatementKind.ASSIGN, t1, t2),
-                Statement(StatementKind.ADDRESS_OF, t2, t3),
-                Statement(StatementKind.ADDRESS_OF, t3, avar),
-            ]
-        elif profile is StatementProfile.CASE3:
-            t1, t2 = fresh_temp(), fresh_temp()
-            statements += [
-                Statement(StatementKind.ASSIGN_STAR, qvar, t1),
-                Statement(StatementKind.ADDRESS_OF, t1, t2),
-                Statement(StatementKind.ADDRESS_OF, t2, avar),
-            ]
-        elif profile in (StatementProfile.CASE2, StatementProfile.CASE4):
-            t1 = fresh_temp()
-            statements += [
-                Statement(StatementKind.ASSIGN, qvar, t1),
-                Statement(StatementKind.ADDRESS_OF, t1, avar),
-            ]
-        else:  # CASE5 / CASE6
-            statements.append(Statement(StatementKind.ADDRESS_OF, qvar, avar))
-
+        emit(node_gadget, {"q": qvar, "a": avar})
     for src, label, dst in sorted(graph.edges):
-        u, v = Variable(base[src]), Variable(base[dst])
-        if profile.edges_via_star_assign:
-            t = fresh_temp()
-            if label == DYCK_OPEN:
-                statements += [
-                    Statement(StatementKind.ADDRESS_OF, t, u),
-                    Statement(StatementKind.STAR_ASSIGN, v, t),
-                ]
-            else:
-                statements += [
-                    Statement(StatementKind.ADDRESS_OF, u, t),
-                    Statement(StatementKind.STAR_ASSIGN, t, v),
-                ]
-        else:
-            if label == DYCK_OPEN:
-                statements.append(Statement(StatementKind.ASSIGN_STAR, u, v))
-            else:
-                statements.append(Statement(StatementKind.ADDRESS_OF, u, v))
+        gadget = open_gadget if label == DYCK_OPEN else close_gadget
+        emit(gadget, {"u": qvars[src], "v": qvars[dst]})
 
     rmap = ReductionMap(
         roles=("query_var", "addr_var"),
@@ -220,21 +178,13 @@ def d1_to_program(
 # ---------------------------------------------------------------------------
 # triangle detection -> s-t Dyck-1 reachability
 
-def _undirected_pairs(graph: LabeledDigraph) -> list[tuple[int, int]]:
+def _edge_pairs(graph: LabeledDigraph, directed: bool) -> list[tuple[int, int]]:
+    """Sorted distinct edge endpoints; undirected pairs as (low, high)."""
     pairs = set()
     for src, _, dst in graph.edges:
         if src == dst:
             raise SelfLoopError(f"self-loop at node {src}")
-        pairs.add((min(src, dst), max(src, dst)))
-    return sorted(pairs)
-
-
-def _directed_pairs(graph: LabeledDigraph) -> list[tuple[int, int]]:
-    pairs = set()
-    for src, _, dst in graph.edges:
-        if src == dst:
-            raise SelfLoopError(f"self-loop at node {src}")
-        pairs.add((src, dst))
+        pairs.add((src, dst) if directed or src < dst else (dst, src))
     return sorted(pairs)
 
 
@@ -249,7 +199,7 @@ def triangle_to_st_d1(graph: LabeledDigraph, directed: bool = False) -> StInstan
     hop v_j -> u_{j+1}. A triangle through u is then exactly a balanced
     s-to-t walk via u_0 .. u_3.
     """
-    pairs = _directed_pairs(graph) if directed else _undirected_pairs(graph)
+    pairs = _edge_pairs(graph, directed)
     n = graph.node_count
 
     def layer(u: int, j: int) -> int:
@@ -280,12 +230,10 @@ def triangle_to_st_d1(graph: LabeledDigraph, directed: bool = False) -> StInstan
                 aux += 1
             i += 1
 
-    base = []
-    for v in range(n):
-        name = graph.node_names[v] if graph.node_names is not None else f"n{v}"
-        base.append(name)
+    base = graph.node_names or [f"n{v}" for v in range(n)]
     names = [f"{base[u]}{j}" for u in range(n) for j in range(4)] + ["s", "t"] + aux_names
-    if len(set(names)) != len(names):
+    # a name "-" or "" would make its layer copies read as ids ("-0", "0")
+    if len(set(names)) != len(names) or any(is_node_id(name + "0") for name in base):
         names = [f"n{u}_{j}" for u in range(n) for j in range(4)] + ["s", "t"] + aux_names
 
     out = LabeledDigraph(aux, DYCK_LABELS, edges, names)

@@ -22,6 +22,7 @@ from .model import (
     Statement,
     StatementKind,
     Variable,
+    is_node_id,
 )
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*'*"
@@ -76,8 +77,9 @@ def serialize_program(program: Program) -> str:
 def parse_graph(text: str) -> LabeledDigraph:
     """Header `nodes <n>`, optional `alphabet <labels...>` and
     `name <id> <name>` lines, then edges `<src> <label> <dst>` where node
-    tokens are ids or names (fresh names take dense ids in appearance
-    order). Duplicate edges collapse silently."""
+    tokens are ids (`-?[0-9]+`) or names (fresh names take dense ids in
+    appearance order; no name may look like an id). Duplicate edges
+    collapse silently."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty graph file: missing `nodes <n>` header")
@@ -95,26 +97,28 @@ def parse_graph(text: str) -> LabeledDigraph:
     alphabet: set[str] = set()
     alphabet_declared = False
     names: dict[int, str] = {}
-    by_name: dict[str, int] = {}
+    node_of: dict[str, int] = {}  # each name and id token seen so far
     edges: set[tuple[int, str, int]] = set()
     next_auto = 0
 
     def resolve(token: str, lineno: int) -> int:
         nonlocal next_auto
-        if token.lstrip("-").isdigit():
+        node = node_of.get(token)
+        if node is not None:
+            return node
+        if is_node_id(token):
             node = int(token)
             if not 0 <= node < node_count:
                 raise ParseError(f"node {node} out of range", lineno)
-            return node
-        if token in by_name:
-            return by_name[token]
-        while next_auto in names:
-            next_auto += 1
-        if next_auto >= node_count:
-            raise ParseError(f"no free id for node name {token!r}", lineno)
-        names[next_auto] = token
-        by_name[token] = next_auto
-        return next_auto
+        else:
+            while next_auto in names:
+                next_auto += 1
+            if next_auto >= node_count:
+                raise ParseError(f"no free id for node name {token!r}", lineno)
+            node = next_auto
+            names[node] = token
+        node_of[token] = node
+        return node
 
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -125,16 +129,17 @@ def parse_graph(text: str) -> LabeledDigraph:
         if parts[0] == "name":
             if len(parts) != 3:
                 raise ParseError("expected `name <id> <name>`", lineno)
-            try:
-                node = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad node id {parts[1]!r}", lineno) from None
+            if not is_node_id(parts[1]):
+                raise ParseError(f"bad node id {parts[1]!r}", lineno)
+            node = int(parts[1])
             if not 0 <= node < node_count:
                 raise ParseError(f"node {node} out of range", lineno)
-            if node in names or parts[2] in by_name:
+            if is_node_id(parts[2]):
+                raise ParseError(f"node name {parts[2]!r} reads as a node id", lineno)
+            if node in names or parts[2] in node_of:
                 raise ParseError(f"duplicate name binding {parts[2]!r}", lineno)
             names[node] = parts[2]
-            by_name[parts[2]] = node
+            node_of[parts[2]] = node
             continue
         if len(parts) != 3:
             raise ParseError("expected `<src> <label> <dst>` edge", lineno)

@@ -226,3 +226,27 @@ def test_undecodable_input_exits_2_without_traceback(workdir, capsys, argv):
     assert main([*argv, str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _reach_error(workdir, capsys, text: str, *extra: str) -> str:
+    graph = workdir / "g.lg"
+    graph.write_text(text, encoding="utf-8")
+    assert main(["reach", str(graph), "--grammar", "d1", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_non_ascii_digit_token_exits_2(workdir, capsys):
+    # "²" passes str.isdigit() but is not an id; as a name it leaves node 1 unnamed
+    err = _reach_error(workdir, capsys, "nodes 2\n0 [1 ²\n")
+    assert "name all or none" in err
+
+
+def test_digit_node_name_exits_2(workdir, capsys):
+    # `3` would name node 0 and also be the id of node 3
+    text = "nodes 4\nname 0 3\nname 1 a\nname 2 b\nname 3 c\n3 [1 a\na ]1 b\n"
+    assert "reads as a node id" in _reach_error(workdir, capsys, text)
+    assert "reads as a node id" in _reach_error(
+        workdir, capsys, text, "--source", "3", "--target", "b"
+    )

@@ -105,3 +105,15 @@ def test_profiles_cover_the_statement_kind_lattice():
     assert StatementProfile.from_name("CASE3") is StatementProfile.CASE3
     with pytest.raises(InvalidParamsError):
         StatementProfile.from_name("case9")
+
+
+def test_node_names_and_id_tokens_follow_one_rule():
+    with pytest.raises(InvalidParamsError):
+        LabeledDigraph(2, {"e"}, set(), ("a", "7"))
+    with pytest.raises(InvalidParamsError):
+        LabeledDigraph(1, {"e"}, set(), ("-0",))
+    g = LabeledDigraph(3, {"e"}, set(), ("p", "²", "+1"))
+    assert g.resolve("²") == 1 and g.resolve("+1") == 2 and g.resolve("-0") == 0
+    for token in ("١", "1_0", "--1"):
+        with pytest.raises(InvalidNodeError):
+            LabeledDigraph(2, {"e"}, set()).resolve(token)

@@ -343,3 +343,11 @@ def test_triangle_layer_names_avoid_auxiliary_clashes():
     g = LabeledDigraph(3, {"e"}, {(0, "e", 1), (1, "e", 2), (0, "e", 2)}, ("t", "u", "v"))
     inst = triangle_to_st_d1(g)
     assert len(set(inst.graph.node_names)) == inst.graph.node_count
+
+
+def test_triangle_layer_names_never_read_as_node_ids():
+    # layer copies are named <name><layer>; "-" would give "-0", an id token
+    g = LabeledDigraph(3, {"e"}, {(0, "e", 1), (1, "e", 2), (0, "e", 2)}, ("-", "a", "b"))
+    inst = triangle_to_st_d1(g)
+    assert inst.graph.node_names[:4] == ("n0_0", "n0_1", "n0_2", "n0_3")
+    assert st_query(inst.graph, D1, inst.s, inst.t)
