@@ -10,6 +10,8 @@ seed.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import os
 import sys
 import time
@@ -68,7 +70,10 @@ def _profile(args) -> StatementProfile:
 
 def cmd_analyze(args) -> int:
     program = textio.parse_program(_read(args.program))
-    solution = solve(program)
+    stats = {} if args.stats else None
+    solution = solve(program, stats=stats)
+    if stats is not None:
+        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
     if args.query:
         p, q = args.query
         answer = solution.query(p, q)
@@ -176,17 +181,22 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. `--seed` defaults to None, and
+    `main` reads PA_LAB_SEED at call time."""
     parser = argparse.ArgumentParser(
         prog="palab",
         description="points-to analysis, Dyck/CFL reachability, and cross-checked reductions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = _default_seed()
 
     p = sub.add_parser("analyze", help="solve a pointer program")
     p.add_argument("program", help="program file (.pa)")
     p.add_argument("--query", nargs=2, metavar=("P", "Q"), help="ask whether p points to q")
+    p.add_argument(
+        "--stats", action="store_true", help="print the solver's counters as one JSON line to stderr"
+    )
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("reach", help="CFL reachability over a labeled graph")
@@ -211,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=["bmm", "peg", "pt-prime", "triangle"])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-n", type=int, default=8, help="instance size cap (bmm, triangle)")
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=int, default=None, help="default: $PA_LAB_SEED or 0")
     p.add_argument("--profile", default="case1", help="statement profile for the bmm suite")
     p.add_argument("--directed", action="store_true", help="directed triangle mode")
     p.set_defaults(func=cmd_crosscheck)
@@ -223,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stmts", type=int, default=10, help="statement count cap (program)")
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--directed", action="store_true")
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=int, default=None, help="default: $PA_LAB_SEED or 0")
     p.add_argument("-o", "--output", help="output file (default stdout)")
     p.set_defaults(func=cmd_gen)
 
@@ -232,15 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", required=True, type=_sizes, help="comma-separated sizes, e.g. 50,100,200"
     )
     p.add_argument("--suite", default="reach-d1", choices=["reach-d1", "solve"])
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=int, default=None, help="default: $PA_LAB_SEED or 0")
     p.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        args.seed = _default_seed()
     try:
         return args.func(args)
     except AnalysisError as err:

@@ -138,11 +138,11 @@ class Program:
 
     @cached_property
     def variables(self) -> tuple[Variable, ...]:
-        seen: dict[Variable, None] = {}
+        seen: dict[str, Variable] = {}  # keyed by name: str hashing is cached
         for st in self.statements:
-            seen.setdefault(st.lhs)
-            seen.setdefault(st.rhs)
-        return tuple(seen)
+            seen.setdefault(st.lhs.name, st.lhs)
+            seen.setdefault(st.rhs.name, st.rhs)
+        return tuple(seen.values())
 
     @cached_property
     def statement_set(self) -> frozenset[Statement]:

@@ -31,6 +31,11 @@ _STMT_RE = re.compile(
 )
 
 
+# counts (graph node count, matrix size) are ASCII digit strings; int()
+# alone would also take "+3", "1_0" and non-ASCII digits such as "٣"
+_is_count = re.compile(r"[0-9]+").fullmatch
+
+
 def _content_lines(text: str) -> Iterable[tuple[int, str]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -44,6 +49,7 @@ def _content_lines(text: str) -> Iterable[tuple[int, str]]:
 def parse_program(text: str) -> Program:
     """Statements separated by newlines and/or semicolons; trailing ';' ok."""
     statements = []
+    interned: dict[str, Variable] = {}  # one Variable per name
     for lineno, line in _content_lines(text):
         for chunk in line.split(";"):
             chunk = chunk.strip()
@@ -63,7 +69,9 @@ def parse_program(text: str) -> Program:
                 kind = StatementKind.ASSIGN_STAR
             else:
                 kind = StatementKind.ASSIGN
-            statements.append(Statement(kind, Variable(lhs), Variable(rhs)))
+            a = interned.get(lhs) or interned.setdefault(lhs, Variable(lhs))
+            b = interned.get(rhs) or interned.setdefault(rhs, Variable(rhs))
+            statements.append(Statement(kind, a, b))
     return Program(statements)
 
 
@@ -87,12 +95,9 @@ def parse_graph(text: str) -> LabeledDigraph:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "nodes":
         raise ParseError("expected `nodes <n>` header", lineno)
-    try:
-        node_count = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad node count {parts[1]!r}", lineno) from None
-    if node_count < 0:
-        raise ParseError("node count must be non-negative", lineno)
+    if not _is_count(parts[1]):
+        raise ParseError(f"bad node count {parts[1]!r}", lineno)
+    node_count = int(parts[1])
 
     alphabet: set[str] = set()
     alphabet_declared = False
@@ -178,10 +183,9 @@ def parse_matrix(text: str) -> BooleanMatrix:
     if not lines:
         raise ParseError("empty matrix file: missing size header")
     lineno, header = lines[0]
-    try:
-        n = int(header)
-    except ValueError:
-        raise ParseError(f"bad matrix size {header!r}", lineno) from None
+    if not _is_count(header):
+        raise ParseError(f"bad matrix size {header!r}", lineno)
+    n = int(header)
     rows = lines[1:]
     if len(rows) != n:
         raise ParseError(f"expected {n} rows, got {len(rows)}")
@@ -248,9 +252,13 @@ def serialize_grammar(grammar: Grammar) -> str:
 
 def serialize_solution(solution: PointsToSolution) -> str:
     lines = []
+    rendered: dict[int, str] = {}  # id of a points-to set -> its member list
     for var in sorted(solution.pt, key=lambda v: v.name):
-        members = ", ".join(sorted(w.name for w in solution.pt[var]))
-        lines.append(f"pt({var}) = {{ {members} }}" if members else f"pt({var}) = {{ }}")
+        targets = solution.pt[var]
+        members = rendered.get(id(targets))
+        if members is None:
+            members = rendered[id(targets)] = ", ".join(sorted(w.name for w in targets))
+        lines.append(f"pt({var.name}) = {{ {members} }}" if members else f"pt({var.name}) = {{ }}")
     return "".join(line + "\n" for line in lines)
 
 

@@ -97,6 +97,31 @@ def constraint_violations(program: Program, solution: PointsToSolution) -> list[
     return bad
 
 
+def least_fixpoint(program: Program) -> PointsToSolution:
+    """Oracle: the least solution by whole-set rounds. Every round applies
+    every statement to the full current sets, with no worklist, difference
+    sets or cycle collapse, until a round changes nothing."""
+    pt = {v: set() for v in program.variables}
+    changed = True
+    while changed:
+        changed = False
+        for st in program.statements:
+            a, b = st.lhs, st.rhs
+            if st.kind is StatementKind.ADDRESS_OF:
+                flows = [({b}, a)]
+            elif st.kind is StatementKind.ASSIGN:
+                flows = [(pt[b], a)]
+            elif st.kind is StatementKind.ASSIGN_STAR:
+                flows = [(pt[v], a) for v in pt[b]]
+            else:
+                flows = [(pt[b], v) for v in pt[a]]
+            for src, dst in flows:
+                if not src <= pt[dst]:
+                    pt[dst] |= src
+                    changed = True
+    return PointsToSolution({v: frozenset(s) for v, s in pt.items()})
+
+
 def erased_statement_forms(program: Program) -> list[str]:
     """Statement multiset with every t<k> temporary replaced by `?`,
     for comparisons up to temp naming."""

@@ -106,3 +106,44 @@ def test_agreement_with_reachability_on_small_programs():
                 assert sol.query(p, q) == summaries.holds(
                     peg.node(p, ExprForm.VAR), "Pt", peg.node(q, ExprForm.ADDR)
                 ), (trial, p.name, q.name)
+
+
+# Hand-built shapes around self-loops, stores that close cycles, and cycles
+# that only appear once an earlier cycle has been collapsed.
+CYCLE_SHAPES = {
+    "self copy": "a = &b\na = a",
+    "self load": "a = &a\nb = &a\na = *a\nb = *b",
+    "self store": "p = &p\n*p = p",
+    "ring closed by a store": "a = &x\nb = a\nc = b\np = &a\n*p = c",
+    "cycle after a merge": (
+        "a = &x\nb = a\na = b\nc = b\np = &c\na = *p\nd = &y\n*b = d\nx = &d\ne = *x\nd = e"
+    ),
+    "plain copy ring": "a = &x\nb = a\nc = b\nd = c\na = d\nx = &a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_SHAPES))
+def test_cycle_shapes_reach_the_least_fixpoint(name):
+    prog = parse_program(CYCLE_SHAPES[name])
+    expected = helpers.least_fixpoint(prog)
+    for policy in ("fifo", "lifo"):
+        assert solve(prog, policy=policy) == expected, (name, policy)
+
+
+@pytest.mark.parametrize("max_vars, max_stmts", [(20, 240), (15, 30)])
+def test_cycle_heavy_programs_reach_the_least_fixpoint(max_vars, max_stmts):
+    for trial in range(150):
+        prog = rand_program(max_vars, max_stmts, seed=8000 + trial)
+        expected = helpers.least_fixpoint(prog)
+        for policy in ("fifo", "lifo"):
+            assert solve(prog, policy=policy) == expected, (trial, policy)
+
+
+def test_copy_ring_is_collapsed_and_counted():
+    stats = {}
+    solve(parse_program(CYCLE_SHAPES["plain copy ring"]), stats=stats)
+    assert set(stats) == {"pops", "copy_edges", "cycle_checks", "merged"}
+    assert stats["merged"] > 0 and stats["cycle_checks"] > 0
+    stats = {}
+    solve(parse_program("a = &x\nb = *a\nx = &y"), stats=stats)
+    assert stats["copy_edges"] == 1 and stats["merged"] == 0

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from palab.cli import main
@@ -250,3 +252,42 @@ def test_digit_node_name_exits_2(workdir, capsys):
     assert "reads as a node id" in _reach_error(
         workdir, capsys, text, "--source", "3", "--target", "b"
     )
+
+
+def test_seed_env_is_read_on_every_call(workdir, capsys, monkeypatch):
+    outs = {}
+    for seed in ("2", "3"):
+        monkeypatch.setenv("PA_LAB_SEED", seed)
+        outs[seed] = workdir / f"env{seed}.lg"
+        assert main(["gen", "dyck-graph", "-n", "6", "-m", "8", "-o", str(outs[seed])]) == 0
+    for seed, env_out in outs.items():
+        explicit = workdir / f"arg{seed}.lg"
+        assert main(["gen", "dyck-graph", "-n", "6", "-m", "8", "--seed", seed, "-o", str(explicit)]) == 0
+        assert env_out.read_bytes() == explicit.read_bytes()
+    assert outs["2"].read_bytes() != outs["3"].read_bytes()
+
+
+def test_analyze_stats_go_to_stderr_only(workdir, capsys):
+    program = str(workdir / "ex.pa")
+    assert main(["analyze", program]) == 0
+    plain = capsys.readouterr()
+    assert main(["analyze", program, "--stats"]) == 0
+    with_stats = capsys.readouterr()
+    assert with_stats.out == plain.out == EXPECTED_SOLUTION
+    assert plain.err == ""
+    stats = json.loads(with_stats.err)
+    assert set(stats) == {"pops", "copy_edges", "cycle_checks", "merged"}
+
+
+@pytest.mark.parametrize("count", ["٣", "+3", "1_0", "-1"])
+def test_graph_node_count_must_be_ascii_digits(workdir, capsys, count):
+    assert "bad node count" in _reach_error(workdir, capsys, f"nodes {count}\n")
+
+
+@pytest.mark.parametrize("size", ["٤", "+4", "0_4"])
+def test_matrix_size_must_be_ascii_digits(workdir, capsys, size):
+    bad = workdir / "bad.bm"
+    bad.write_text(MATRIX_A.replace("4", size, 1), encoding="utf-8")
+    assert main(["reduce", "bmm-to-d1", str(bad), str(workdir / "B.bm"), "-o", str(workdir / "o.lg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad matrix size" in err and "Traceback" not in err
