@@ -2,11 +2,16 @@
 
 `all_pairs` saturates summary edges with a semi-naive worklist closure over
 a binarized grammar, one bitset row of targets per (symbol, source);
-`st_query` runs the same engine with an early exit. The
-built-in grammars (Dyck-1, generalized Dyck, and the two points-to-analysis
-reachability grammars over PEG labels) live here too, together with a
-terminal Follow-set analysis and an Earley membership check used as an
-independent oracle by the test harness.
+`st_query` runs the same engine with an early exit. A fact enters the column
+index that right joins read when it pops, not when it is derived; every
+pair of facts of a binary rule is still joined by the time the later of
+the two pops (see `_closure`). Binarization shares one helper per body suffix (or
+prefix) across productions. Epsilon never enters the worklist: unit rules
+compensate for nullable operands, and the diagonal of each nullable symbol
+is added at the end. The built-in grammars (Dyck-1, generalized Dyck, and
+the two points-to-analysis reachability grammars over PEG labels) live here
+too, together with a terminal Follow-set analysis and an Earley membership
+check used as an independent oracle by the test harness.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .model import (
     InvalidNodeError,
     InvalidParamsError,
     LabeledDigraph,
+    is_count,
 )
 from .peg import PEG_ALPHABET
 
@@ -85,11 +91,10 @@ def builtin_grammar(name: str) -> Grammar:
     if key == "d1":
         return dyck_grammar(1)
     if key.startswith("dyck:"):
-        try:
-            k = int(key.split(":", 1)[1])
-        except ValueError:
-            raise InvalidParamsError(f"bad dyck grammar name {name!r}") from None
-        return dyck_grammar(k)
+        count = key[len("dyck:"):]
+        if not is_count(count):
+            raise InvalidParamsError(f"bad dyck grammar name {name!r}")
+        return dyck_grammar(int(count))
     if key == "pt":
         return _pt_grammar()
     if key == "pt_prime":
@@ -117,8 +122,11 @@ class NormalizedGrammar:
     """Binarized view of a grammar for the saturation engine.
 
     `binary_productions` have right-hand sides of length 1 or 2 with no
-    epsilon; nullability is carried separately and compensated by extra
-    unit rules, so the start-symbol reachability is unchanged.
+    epsilon. `nullable` names every symbol that derives epsilon, helpers
+    included. Epsilon is carried by compensation: each L -> X Y gains
+    L -> Y when X is nullable and L -> X when Y is, which keeps every
+    summary over a nonempty path; the empty-path summaries (v, X, v) of the
+    nullable symbols are added once the saturation is complete.
     """
 
     binary_productions: tuple[tuple[str, tuple[str, ...]], ...]
@@ -130,71 +138,55 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
     """Split long productions with fresh helpers and pre-compute nullability.
 
     `assoc` picks the helper chaining direction; either yields the same
-    summaries once helpers are projected out.
+    summaries once helpers are projected out. A helper derives exactly the
+    suffix (right) or prefix (left) of a body that it spans, so productions
+    whose bodies share that span share the helper; `helper_map` records the
+    first production that needed it. Helper names are `@<k>` names that the
+    grammar does not use.
     """
     if assoc not in ("right", "left"):
         raise InvalidParamsError(f"unknown binarization order {assoc!r}")
     nullable = _nullable_closure(grammar.productions)
+    taken = grammar.terminals | grammar.nonterminals
 
     helper_map: dict[str, tuple[str, tuple[str, ...]]] = {}
+    helper_of: dict[tuple[str, ...], str] = {}   # span -> helper
     rules: list[tuple[str, tuple[str, ...]]] = []
     counter = 0
 
-    def fresh(origin: tuple[str, tuple[str, ...]]) -> str:
-        nonlocal counter
-        counter += 1
-        sym = f"@{counter}"
-        helper_map[sym] = origin
-        return sym
-
-    helper_nullable: set[str] = set()
-    for lhs, rhs in grammar.productions:
-        if len(rhs) == 0:
+    for origin in grammar.productions:
+        head, body = origin
+        if len(body) == 0:
             continue  # carried by `nullable`
-        if len(rhs) <= 2:
-            rules.append((lhs, rhs))
-            continue
-        origin = (lhs, rhs)
-        if assoc == "right":
-            # lhs -> s0 H1, H1 -> s1 H2, ..., H_{k-2} -> s_{k-2} s_{k-1}
-            chain = [fresh(origin) for _ in range(len(rhs) - 2)]
-            heads = [lhs] + chain
-            tails = chain + [rhs[-1]]
-            for i, head in enumerate(heads):
-                rules.append((head, (rhs[i], tails[i])))
-            # a helper spans a suffix; it derives epsilon iff the suffix does
-            for i in range(len(chain), 0, -1):
-                suffix = rhs[i:]
-                if all(s in nullable for s in suffix):
-                    helper_nullable.add(chain[i - 1])
+        # right: head -> s0 H(s1..), H(s1..) -> s1 H(s2..), ..., H -> s_{k-2} s_{k-1}
+        # left:  head -> H(..s_{k-2}) s_{k-1}, ..., H -> s0 s1
+        while len(body) > 2:
+            span = body[1:] if assoc == "right" else body[:-1]
+            helper = helper_of.get(span)
+            known = helper is not None
+            if not known:
+                counter += 1
+                while f"@{counter}" in taken:
+                    counter += 1
+                helper = helper_of[span] = f"@{counter}"
+                helper_map[helper] = origin
+                if all(s in nullable for s in span):
+                    nullable.add(helper)
+            rules.append((head, (body[0], helper) if assoc == "right" else (helper, body[-1])))
+            if known:  # the rules below a shared helper exist already
+                break
+            head, body = helper, span
         else:
-            # lhs -> H1 s_{k-1}, H1 -> H2 s_{k-2}, ..., H_{k-2} -> s0 s1
-            chain = [fresh(origin) for _ in range(len(rhs) - 2)]
-            current = lhs
-            remaining = list(rhs)
-            idx = 0
-            while len(remaining) > 2:
-                helper = chain[idx]
-                rules.append((current, (helper, remaining[-1])))
-                remaining.pop()
-                current = helper
-                idx += 1
-            rules.append((current, tuple(remaining)))
-            # a helper spans a prefix; it derives epsilon iff the prefix does
-            for i, helper in enumerate(chain):
-                prefix = rhs[: len(rhs) - 1 - i]
-                if all(s in nullable for s in prefix):
-                    helper_nullable.add(helper)
+            rules.append((head, body))
 
-    all_nullable = set(nullable) | helper_nullable
-    # nullable-aware compensation for binary rules
+    # compensation for nullable operands of binary rules
     extra: list[tuple[str, tuple[str, ...]]] = []
     for lhs, rhs in rules:
         if len(rhs) == 2:
             x, y = rhs
-            if x in all_nullable:
+            if x in nullable:
                 extra.append((lhs, (y,)))
-            if y in all_nullable:
+            if y in nullable:
                 extra.append((lhs, (x,)))
     seen: set = set()
     deduped = []
@@ -205,7 +197,7 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
 
     return NormalizedGrammar(
         binary_productions=tuple(deduped),
-        nullable=frozenset(n for n in nullable if n in grammar.nonterminals),
+        nullable=frozenset(nullable),
         helper_map=helper_map,
     )
 
@@ -268,17 +260,30 @@ def _closure(
     graph: LabeledDigraph,
     norm: NormalizedGrammar,
     target: Optional[tuple[int, str, int]] = None,
+    stats: Optional[dict] = None,
 ):
     """Semi-naive saturation over bitset rows; returns (out, symbol table, hit).
 
     out[X][u] is the bitset of the targets v of the summaries (u, X, v), X a
     symbol code. New targets of a row wait as one coalesced delta per
-    (X, u). Popping a delta D of X at row u joins L -> X Y by OR-ing the
-    out[Y] rows over the bits of D into out[L][u], and L -> Y X by OR-ing D
-    into out[L][w] for each w in in[Y][u]; the column index in[Y][v] (the
-    sources w of (w, Y, v)) is kept only for left operands Y. With a target
-    the loop stops at the first pop after its bit lands; without one it
-    always runs to the fixpoint.
+    (X, u). Popping a delta D of X at row u first indexes it in the column
+    index in[X] (in[X][v]: the sources w of popped facts (w, X, v), kept
+    only for left operands X), then joins L -> X Y by OR-ing the out[Y] rows
+    over the bits of D into out[L][u], and L -> Y X by OR-ing D into
+    out[L][w] for each w in in[Y][u]. Each pair of facts A = (w, Y, u),
+    B = (u, X, v) of a rule L -> Y X is joined: if A pops first, B's right
+    join finds it in in[Y]; if B is known first, A's left join reads it in
+    out[X]. Helpers are plain symbols here (normalize shares one per body
+    suffix or prefix), and the rule tables are lists indexed by symbol code.
+    Nullable operands are carried by normalize's unit rules, so no
+    empty-path fact enters the worklist; at the fixpoint the diagonal is
+    OR-ed into the rows of the nullable symbols. With a target the loop
+    stops at the first pop after its bit lands, and `out` is partial.
+
+    When `stats` is a dict it receives `pops`, `joined_rows` (rows visited
+    by right joins), `summaries` (set bits per symbol, helpers included)
+    and, with a target, `stopped_at` (the pop count at the stop, or None at
+    the fixpoint).
     """
     symbols: dict[str, int] = {}
 
@@ -288,39 +293,36 @@ def _closure(
             got = symbols[sym] = len(symbols)
         return got
 
-    unit_by: dict[int, list[int]] = {}                # on X: rules L -> X
-    left_of: dict[int, list[tuple[int, int]]] = {}    # on X: rules L -> X Y, as (Y, L)
-    right_of: dict[int, list[tuple[int, int]]] = {}   # on X: rules L -> Y X, as (Y, L)
-    for lhs, rhs in norm.binary_productions:
-        lhs_c = code(lhs)
-        if len(rhs) == 1:
-            unit_by.setdefault(code(rhs[0]), []).append(lhs_c)
-        else:
-            x, y = code(rhs[0]), code(rhs[1])
-            left_of.setdefault(x, []).append((y, lhs_c))
-            right_of.setdefault(y, []).append((x, lhs_c))
+    coded = [
+        (code(lhs), tuple(code(sym) for sym in rhs)) for lhs, rhs in norm.binary_productions
+    ]
     for sym in sorted(graph.alphabet) + sorted(norm.nullable):
         code(sym)
     if target is not None:
         ts, tc, tt = target[0], code(target[1]), target[2]
 
-    n = graph.node_count
-    out = [[0] * n for _ in symbols]
-    inn = [[0] * n if c in left_of else None for c in range(len(symbols))]
-    delta = [[0] * n for _ in symbols]
-    work: deque[tuple[int, int]] = deque()
+    k = len(symbols)
+    unit_by: list[list[int]] = [[] for _ in range(k)]               # on X: rules L -> X
+    left_of: list[list[tuple[int, int]]] = [[] for _ in range(k)]   # on X: L -> X Y, as (Y, L)
+    right_of: list[list[tuple[int, int]]] = [[] for _ in range(k)]  # on X: L -> Y X, as (Y, L)
+    for lhs, rhs in coded:
+        if len(rhs) == 1:
+            unit_by[rhs[0]].append(lhs)
+        else:
+            x, y = rhs
+            left_of[x].append((y, lhs))
+            right_of[y].append((x, lhs))
 
-    def add(c: int, u: int, bits: int):
-        row = out[c]
-        new = bits & ~row[u]
-        if not new:
-            return
-        row[u] |= new
-        col = inn[c]
-        if col is not None:
-            mark = 1 << u
-            for v in _ones(new):
-                col[v] |= mark
+    n = graph.node_count
+    out = [[0] * n for _ in range(k)]
+    inn = [[0] * n if left_of[c] else None for c in range(k)]
+    delta = [[0] * n for _ in range(k)]
+    work: deque[tuple[int, int]] = deque()
+    pop = work.popleft
+
+    def add(c: int, u: int, new: int):
+        """Record the new targets `new` (none known yet) of row u of c."""
+        out[c][u] |= new
         pending = delta[c]
         if not pending[u]:
             work.append((c, u))
@@ -328,33 +330,63 @@ def _closure(
 
     for src, label, dst in sorted(graph.edges):
         add(symbols[label], src, 1 << dst)
-    for sym in sorted(norm.nullable):
-        for v in range(n):
-            add(symbols[sym], v, 1 << v)
 
+    hit = False
+    pops = joined = 0
     while work:
         if target is not None and out[tc][ts] >> tt & 1:
-            return out, symbols, True
-        c, u = work.popleft()
-        pending = delta[c]
-        d = pending[u]
-        pending[u] = 0
-        for lhs in unit_by.get(c, ()):
-            add(lhs, u, d)
-        lefts = left_of.get(c)
-        if lefts:
+            hit = True
+            break
+        c, u = pop()
+        pops += 1
+        d = delta[c][u]
+        delta[c][u] = 0
+        col = inn[c]
+        if col is not None:
             vs = _ones(d)
-            for y, lhs in lefts:
+            mark = 1 << u
+            for v in vs:
+                col[v] |= mark
+            for y, lhs in left_of[c]:
                 rows = out[y]
                 acc = 0
                 for v in vs:
                     acc |= rows[v]
-                add(lhs, u, acc)
-        for y, lhs in right_of.get(c, ()):
-            for w in _ones(inn[y][u]):
-                add(lhs, w, d)
+                new = acc & ~out[lhs][u]
+                if new:
+                    add(lhs, u, new)
+        for lhs in unit_by[c]:
+            new = d & ~out[lhs][u]
+            if new:
+                add(lhs, u, new)
+        for y, lhs in right_of[c]:
+            sources = inn[y][u]
+            if not sources:
+                continue
+            ws = _ones(sources)
+            joined += len(ws)
+            row = out[lhs]
+            for w in ws:
+                new = d & ~row[w]
+                if new:
+                    add(lhs, w, new)
     # every new bit queues its row, so a landed target is seen by a pop above
-    return out, symbols, False
+    if not hit:
+        for sym in norm.nullable:
+            rows = out[symbols[sym]]
+            for v in range(n):
+                rows[v] |= 1 << v
+    if stats is not None:
+        stats.update(
+            pops=pops,
+            joined_rows=joined,
+            summaries={
+                sym: sum(row.bit_count() for row in out[c]) for sym, c in sorted(symbols.items())
+            },
+        )
+        if target is not None:
+            stats["stopped_at"] = pops if hit else None
+    return out, symbols, hit
 
 
 def _saturate(graph: LabeledDigraph, norm: NormalizedGrammar):
@@ -368,11 +400,13 @@ def _saturate(graph: LabeledDigraph, norm: NormalizedGrammar):
     return triples, symbols, hit
 
 
-def all_pairs(graph: LabeledDigraph, grammar: Grammar) -> SummarySet:
+def all_pairs(
+    graph: LabeledDigraph, grammar: Grammar, stats: Optional[dict] = None
+) -> SummarySet:
     """Every summary (u, X, v) over the grammar's own symbols; nullable
-    symbols contribute (v, X, v) for every node."""
+    symbols contribute (v, X, v) for every node. `stats`: see `_closure`."""
     _check_alphabet(graph, grammar)
-    out, symbols, _ = _closure(graph, normalize(grammar))
+    out, symbols, _ = _closure(graph, normalize(grammar), stats=stats)
     keep = grammar.terminals | grammar.nonterminals
     by_symbol = []
     for sym, c in sorted(symbols.items()):
@@ -385,17 +419,22 @@ def all_pairs(graph: LabeledDigraph, grammar: Grammar) -> SummarySet:
     return SummarySet(tuple(by_symbol))
 
 
-def st_query(graph: LabeledDigraph, grammar: Grammar, s: int, t: int) -> bool:
+def st_query(
+    graph: LabeledDigraph, grammar: Grammar, s: int, t: int, stats: Optional[dict] = None
+) -> bool:
     """True iff t is start-symbol-reachable from s; stops as soon as the
-    target summary appears."""
+    target summary appears. `stats`: see `_closure`; an empty path answers
+    before any pop."""
     for node in (s, t):
         if not 0 <= node < graph.node_count:
             raise InvalidNodeError(f"node {node} out of range")
     _check_alphabet(graph, grammar)
     norm = normalize(grammar)
     if s == t and grammar.start in norm.nullable:
+        if stats is not None:
+            stats.update(pops=0, joined_rows=0, summaries={}, stopped_at=0)
         return True
-    _, _, hit = _closure(graph, norm, target=(s, grammar.start, t))
+    _, _, hit = _closure(graph, norm, target=(s, grammar.start, t), stats=stats)
     return hit
 
 

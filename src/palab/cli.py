@@ -20,7 +20,7 @@ from . import crosscheck as cc
 from . import textio
 from .andersen import solve
 from .cfl import all_pairs, builtin_grammar, st_query
-from .model import AnalysisError, ParseError, StatementProfile
+from .model import AnalysisError, ParseError, StatementProfile, is_count
 from .reductions import bmm_to_d1, d1_to_program, triangle_to_st_d1
 
 
@@ -40,14 +40,11 @@ def _read(path: str) -> str:
 
 
 def _sizes(text: str) -> list[int]:
-    """argparse type for --sizes: a comma-separated list of non-negative ints."""
-    try:
-        sizes = [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of sizes: {text!r}") from None
-    if any(n < 0 for n in sizes):
-        raise argparse.ArgumentTypeError(f"sizes must be non-negative: {text!r}")
-    return sizes
+    """argparse type for --sizes: a comma-separated list of ASCII counts."""
+    tokens = [tok for tok in text.split(",") if tok]
+    if not all(map(is_count, tokens)):
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of sizes: {text!r}")
+    return [int(tok) for tok in tokens]
 
 
 def _write(path: str, text: str):
@@ -65,6 +62,12 @@ def _profile(args) -> StatementProfile:
     return StatementProfile.from_name(args.profile)
 
 
+def _print_stats(stats):
+    """An engine's counters as one JSON line on stderr (`--stats`)."""
+    if stats is not None:
+        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -72,8 +75,7 @@ def cmd_analyze(args) -> int:
     program = textio.parse_program(_read(args.program))
     stats = {} if args.stats else None
     solution = solve(program, stats=stats)
-    if stats is not None:
-        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
+    _print_stats(stats)
     if args.query:
         p, q = args.query
         answer = solution.query(p, q)
@@ -88,13 +90,16 @@ def cmd_reach(args) -> int:
     grammar = _load_grammar(args.grammar)
     if (args.source is None) != (args.target is None):
         raise AnalysisError("--source and --target must be given together")
+    stats = {} if args.stats else None
     if args.source is not None:
         s = graph.resolve(args.source)
         t = graph.resolve(args.target)
-        reachable = st_query(graph, grammar, s, t)
+        reachable = st_query(graph, grammar, s, t, stats=stats)
+        _print_stats(stats)
         print("reachable" if reachable else "unreachable")
         return 0 if reachable else 1
-    summaries = all_pairs(graph, grammar)
+    summaries = all_pairs(graph, grammar, stats=stats)
+    _print_stats(stats)
     names = [graph.name_of(v) for v in range(graph.node_count)]
     sys.stdout.write("".join(
         f"{names[u]} -> {names[v]}\n"
@@ -205,6 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", help="source node (name or id) for an s-t query")
     p.add_argument("--target", help="target node (name or id) for an s-t query")
     p.add_argument("--include-self", action="store_true", help="also print self pairs")
+    p.add_argument(
+        "--stats", action="store_true", help="print the engine's counters as one JSON line to stderr"
+    )
     p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("reduce", help="run one of the reductions")

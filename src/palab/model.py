@@ -177,6 +177,9 @@ Edge = tuple[int, str, int]
 # and no node name may look like one. A bound method, so the test is a single
 # C call on the graph parser's per-token path; it returns a match or None.
 is_node_id = re.compile(r"-?[0-9]+").fullmatch
+# Counts (graph and matrix sizes, `dyck:<k>`, `bench --sizes`) are ASCII
+# digits only: `int()` alone would also take `٣`, `+3`, `1_0` and ` 3`.
+is_count = re.compile(r"[0-9]+").fullmatch
 
 
 @dataclass(frozen=True)

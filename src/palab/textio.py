@@ -22,6 +22,7 @@ from .model import (
     Statement,
     StatementKind,
     Variable,
+    is_count,
     is_node_id,
 )
 
@@ -29,11 +30,6 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*'*"
 _STMT_RE = re.compile(
     rf"(?P<lstar>\*)?\s*(?P<lhs>{_IDENT})\s*=\s*(?P<rop>[&*])?\s*(?P<rhs>{_IDENT})\Z"
 )
-
-
-# counts (graph node count, matrix size) are ASCII digit strings; int()
-# alone would also take "+3", "1_0" and non-ASCII digits such as "٣"
-_is_count = re.compile(r"[0-9]+").fullmatch
 
 
 def _content_lines(text: str) -> Iterable[tuple[int, str]]:
@@ -95,7 +91,7 @@ def parse_graph(text: str) -> LabeledDigraph:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "nodes":
         raise ParseError("expected `nodes <n>` header", lineno)
-    if not _is_count(parts[1]):
+    if not is_count(parts[1]):
         raise ParseError(f"bad node count {parts[1]!r}", lineno)
     node_count = int(parts[1])
 
@@ -183,7 +179,7 @@ def parse_matrix(text: str) -> BooleanMatrix:
     if not lines:
         raise ParseError("empty matrix file: missing size header")
     lineno, header = lines[0]
-    if not _is_count(header):
+    if not is_count(header):
         raise ParseError(f"bad matrix size {header!r}", lineno)
     n = int(header)
     rows = lines[1:]

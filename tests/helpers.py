@@ -74,6 +74,33 @@ def reachable_by_enumeration(
     return pairs
 
 
+def reference_saturation(graph: LabeledDigraph, grammar: Grammar) -> dict[str, set[tuple[int, int]]]:
+    """Oracle: the (source, target) pairs of every grammar symbol, by whole
+    rounds over the declared productions until nothing changes. A body of any
+    length is a composition of relations, and the empty body is the identity
+    relation; no binarization, nullability analysis or worklist is involved."""
+    rel: dict[str, set[tuple[int, int]]] = {
+        sym: set() for sym in grammar.terminals | grammar.nonterminals
+    }
+    for src, label, dst in graph.edges:
+        rel[label].add((src, dst))
+    identity = {(v, v) for v in range(graph.node_count)}
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in grammar.productions:
+            acc = identity
+            for sym in rhs:
+                succ: dict[int, set[int]] = defaultdict(set)
+                for u, v in rel[sym]:
+                    succ[u].add(v)
+                acc = {(u, w) for u, v in acc for w in succ[v]}
+            if not acc <= rel[lhs]:
+                rel[lhs] |= acc
+                changed = True
+    return rel
+
+
 def constraint_violations(program: Program, solution: PointsToSolution) -> list[str]:
     """One more resolution pass over the solved state; a closed (fixpoint)
     solution yields no violations."""
@@ -139,6 +166,14 @@ def erased_statement_forms(program: Program) -> list[str]:
         shapes[st.kind].format(erase(st.lhs.name), erase(st.rhs.name))
         for st in program.statements
     )
+
+
+def rand_labeled_graph(alphabet: list[str], n: int, m: int, seed: int) -> LabeledDigraph:
+    """Random labeled digraph on n nodes with up to m edges; cycles and
+    self loops allowed."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(n), rng.choice(alphabet), rng.randrange(n)) for _ in range(m)}
+    return LabeledDigraph(n, alphabet, edges)
 
 
 def rand_acyclic_graph(alphabet: list[str], max_nodes: int, max_edges: int, seed: int) -> LabeledDigraph:

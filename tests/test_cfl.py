@@ -5,6 +5,7 @@ from palab.crosscheck import worked_dyck_graph, worked_program, worked_triangle_
 from palab.model import (
     AlphabetMismatchError,
     DYCK_LABELS,
+    Grammar,
     InvalidNodeError,
     LabeledDigraph,
 )
@@ -158,3 +159,103 @@ def test_st_query_early_exit_agrees_with_all_pairs():
                 assert st_query(g, grammar, s, t) == summaries.holds(s, grammar.start, t), (
                     trial, s, t,
                 )
+
+
+# hand-written grammars over a, b, c for the reference-saturation test
+_HAND_GRAMMARS = {
+    "nullable concatenation": ("X", [("X", ("X", "X")), ("X", ("a",)), ("X", ())]),
+    "left recursion": ("A", [("A", ("A", "a")), ("A", ("b",)), ("A", ("A", "B")), ("B", ("b", "c"))]),
+    "nullable middle": (
+        "X",
+        [("X", ("a", "N", "b")), ("X", ("a", "N", "N", "N")), ("X", ("c", "N", "N", "c")),
+         ("N", ()), ("N", ("c",))],
+    ),
+    "unit cycle": ("A", [("A", ("B",)), ("B", ("A",)), ("A", ("a",)), ("B", ("b", "c", "A"))]),
+    "helper-name clash": ("X", [("X", ("a", "c", "c", "b")), ("@1", ("b",))]),
+}
+
+
+def _hand_grammar(name: str) -> Grammar:
+    start, productions = _HAND_GRAMMARS[name]
+    return Grammar({"a", "b", "c"}, {lhs for lhs, _ in productions} | {start}, productions, start)
+
+
+def _reference_cases():
+    from palab.crosscheck import rand_program
+
+    cases = []
+    for seed in range(8):
+        cases.append(("d1", helpers.rand_labeled_graph(["[1", "]1"], 7, 12, seed), D1))
+        cases.append((
+            "dyck:2",
+            helpers.rand_labeled_graph(["[1", "]1", "[2", "]2"], 7, 14, seed),
+            builtin_grammar("dyck:2"),
+        ))
+        peg = build_peg(rand_program(5, 9, 70 + seed))
+        cases += [("pt", peg.graph, PT), ("pt_prime", peg.graph, builtin_grammar("pt_prime"))]
+        for name in _HAND_GRAMMARS:
+            cases.append((name, helpers.rand_labeled_graph(["a", "b", "c"], 6, 10, seed), _hand_grammar(name)))
+    return cases
+
+
+def test_engine_matches_reference_saturation():
+    from palab.cfl import _saturate  # engine access below the projection
+
+    for trial, (name, g, grammar) in enumerate(_reference_cases()):
+        expected = helpers.reference_saturation(g, grammar)
+        summaries = all_pairs(g, grammar)
+        for sym, pairs in expected.items():
+            assert summaries.pairs(sym) == pairs, (trial, name, sym)
+        for assoc in ("right", "left"):
+            triples, symbols, _ = _saturate(g, normalize(grammar, assoc=assoc))
+            names = {c: s for s, c in symbols.items()}
+            got = {(u, names[c], v) for u, c, v in triples if names[c] in expected}
+            assert got == {(u, s, v) for s, ps in expected.items() for u, v in ps}, (trial, name, assoc)
+        start_pairs = expected[grammar.start]
+        for s in range(g.node_count):
+            for t in range(g.node_count):
+                assert st_query(g, grammar, s, t) == ((s, t) in start_pairs), (trial, name, s, t)
+
+
+def test_points_to_grammar_shares_helpers_in_both_orders():
+    for assoc in ("right", "left"):
+        norm = normalize(PT, assoc=assoc)
+        assert len(norm.helper_map) == 9, assoc
+        assert all(1 <= len(rhs) <= 2 for _, rhs in norm.binary_productions)
+
+
+def test_helper_names_avoid_grammar_symbols():
+    clash = _hand_grammar("helper-name clash")
+    assert not derives(clash, "X", ("a", "b"))
+    norm = normalize(clash)
+    assert not set(norm.helper_map) & (clash.terminals | clash.nonterminals)
+    g = LabeledDigraph(3, {"a", "b", "c"}, {(0, "a", 1), (1, "b", 2), (0, "c", 2)})
+    summaries = all_pairs(g, clash)
+    assert summaries.pairs("X") == frozenset()
+    assert summaries.pairs("@1") == {(1, 2)}
+    assert not st_query(g, clash, 0, 2)
+
+
+def test_engine_counters_repeat_and_stay_opt_in():
+    g = helpers.rand_labeled_graph(["[1", "]1"], 12, 24, 3)
+    first, second = {}, {}
+    summaries = all_pairs(g, D1, stats=first)
+    assert all_pairs(g, D1, stats=second) == summaries == all_pairs(g, D1)
+    assert first == second
+    assert set(first) == {"pops", "joined_rows", "summaries"}
+    assert first["pops"] > 0
+    for sym in ("D1", "S", "[1", "]1"):
+        assert first["summaries"][sym] == len(summaries.pairs(sym))
+    assert "@1" in first["summaries"]  # helpers are counted too
+
+    pairs = summaries.pairs("D1")
+    hit = next((u, v) for u, v in sorted(pairs) if u != v)
+    miss = next((u, v) for u in range(g.node_count) for v in range(g.node_count) if (u, v) not in pairs)
+    found, full = {}, {}
+    assert st_query(g, D1, *hit, stats=found)
+    assert not st_query(g, D1, *miss, stats=full)
+    assert 0 < found["stopped_at"] == found["pops"] <= first["pops"]
+    assert full["stopped_at"] is None and full["pops"] == first["pops"]
+    empty = {}
+    assert st_query(g, D1, 0, 0, stats=empty)
+    assert empty["stopped_at"] == 0

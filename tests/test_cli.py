@@ -209,7 +209,7 @@ def test_bench_rows_carry_the_instance_sizes(capsys):
     assert capsys.readouterr().out.startswith("nodes=10 edges=20 suite=reach-d1 ")
 
 
-@pytest.mark.parametrize("sizes", ["10,x", "-5", "1.5"])
+@pytest.mark.parametrize("sizes", ["10,x", "-5", "1.5", "٣", "1_0", "+3", "4, 5"])
 def test_bench_rejects_bad_sizes_with_usage(sizes, capsys):
     with pytest.raises(SystemExit) as err:
         main(["bench", "--sizes", sizes])
@@ -291,3 +291,39 @@ def test_matrix_size_must_be_ascii_digits(workdir, capsys, size):
     assert main(["reduce", "bmm-to-d1", str(bad), str(workdir / "B.bm"), "-o", str(workdir / "o.lg")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad matrix size" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["dyck:1_0", "dyck:٣", "dyck:+2", "dyck: 2"])
+def test_dyck_grammar_count_must_be_ascii_digits(workdir, capsys, name):
+    err = _reach_error(workdir, capsys, "nodes 2\n0 [1 1\n", "--grammar", name)
+    assert "bad dyck grammar name" in err
+
+
+def test_reach_helper_names_avoid_grammar_symbols(workdir, capsys):
+    graph = workdir / "g.lg"
+    graph.write_text("nodes 3\n0 a 1\n1 b 2\n0 c 2\n")
+    cfg = workdir / "clash.cfg"
+    cfg.write_text("start X\nterminals a b c\nX -> a c c b\n@1 -> b\n")
+    assert main(["reach", str(graph), "--grammar", str(cfg)]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("query", [[], ["--source", "0", "--target", "5"]])
+def test_reach_stats_go_to_stderr_only(workdir, capsys, query):
+    graph = str(workdir / "g.lg")
+    assert main(["gen", "dyck-graph", "-n", "20", "-m", "40", "--seed", "1", "-o", graph]) == 0
+    capsys.readouterr()
+    argv = ["reach", graph, "--grammar", "d1", *query]
+    code = main(argv)
+    plain = capsys.readouterr()
+    runs = []
+    for _ in range(2):
+        assert main([*argv, "--stats"]) == code
+        runs.append(capsys.readouterr())
+    assert plain.err == ""
+    assert runs[0].out == runs[1].out == plain.out
+    assert runs[0].err == runs[1].err
+    stats = json.loads(runs[0].err)
+    expected = {"pops", "joined_rows", "summaries"} | ({"stopped_at"} if query else set())
+    assert set(stats) == expected
+    assert stats["pops"] > 0 and stats["summaries"]["D1"] > 0
