@@ -43,6 +43,7 @@ from .model import (
     Program,
     StatementKind,
     Variable,
+    _ones,
     as_variable,
 )
 
@@ -70,13 +71,6 @@ def extract_constraints(program: Program) -> ConstraintSet:
         assign_star=frozenset(buckets[StatementKind.ASSIGN_STAR]),
         star_assign=frozenset(buckets[StatementKind.STAR_ASSIGN]),
     )
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _cycle_through(x: int, z: int, succ: list[set[int]], rep: list[int]):
@@ -128,10 +122,9 @@ def solve(
     address_of, assign, assign_star = (
         StatementKind.ADDRESS_OF, StatementKind.ASSIGN, StatementKind.ASSIGN_STAR
     )
-    for st in program.statements:
-        a = index[st.lhs.name]
-        b = index[st.rhs.name]
-        kind = st.kind
+    for kind, lhs, rhs in program.statements:
+        a = index[lhs.name]
+        b = index[rhs.name]
         if kind is address_of:
             pt[a] |= 1 << b
         elif kind is assign:
@@ -190,7 +183,7 @@ def solve(
 
         ld, sr = loads[n], stores[n]
         if ld or sr:
-            pointees = {rep[v] for v in _bits(d)}
+            pointees = {rep[v] for v in _ones(d)}
             for v in pointees if ld else ():  # a = *n: edges v -> a
                 out = succ[v]
                 fresh = ld - out
@@ -255,7 +248,7 @@ def solve(
         bits = pt[rep[i]]
         members_of = shared.get(bits)
         if members_of is None:
-            members_of = shared[bits] = frozenset([variables[j] for j in _bits(bits)])
+            members_of = shared[bits] = frozenset([variables[j] for j in _ones(bits)])
         solution[var] = members_of
     return PointsToSolution(pt=solution)
 

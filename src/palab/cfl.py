@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .model import (
     AlphabetMismatchError,
@@ -27,6 +28,7 @@ from .model import (
     InvalidNodeError,
     InvalidParamsError,
     LabeledDigraph,
+    _ones,
     is_count,
 )
 from .peg import PEG_ALPHABET
@@ -131,9 +133,10 @@ class NormalizedGrammar:
 
     binary_productions: tuple[tuple[str, tuple[str, ...]], ...]
     nullable: frozenset[str]
-    helper_map: dict[str, tuple[str, tuple[str, ...]]]
+    helper_map: Mapping[str, tuple[str, tuple[str, ...]]]
 
 
+@lru_cache(maxsize=32)
 def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
     """Split long productions with fresh helpers and pre-compute nullability.
 
@@ -143,6 +146,9 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
     whose bodies share that span share the helper; `helper_map` records the
     first production that needed it. Helper names are `@<k>` names that the
     grammar does not use.
+
+    Results are cached per (grammar value, assoc); every caller shares the
+    one read-only value.
     """
     if assoc not in ("right", "left"):
         raise InvalidParamsError(f"unknown binarization order {assoc!r}")
@@ -198,22 +204,12 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
     return NormalizedGrammar(
         binary_productions=tuple(deduped),
         nullable=frozenset(nullable),
-        helper_map=helper_map,
+        helper_map=MappingProxyType(helper_map),
     )
 
 
 # ---------------------------------------------------------------------------
 # saturation
-
-def _ones(bits: int) -> list[int]:
-    """Indices of the set bits of a bitset, ascending."""
-    found = []
-    while bits:
-        low = bits & -bits
-        found.append(low.bit_length() - 1)
-        bits ^= low
-    return found
-
 
 @dataclass(frozen=True)
 class SummarySet:

@@ -10,7 +10,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +68,19 @@ class GrammarError(AnalysisError):
 
 
 # ---------------------------------------------------------------------------
+# bitsets
+
+def _ones(bits: int) -> list[int]:
+    """Indices of the set bits of a bitset, ascending."""
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(low.bit_length() - 1)
+        bits ^= low
+    return found
+
+
+# ---------------------------------------------------------------------------
 # variables and statements
 
 # letters/digits/underscore, then optional trailing apostrophes (primed names)
@@ -103,9 +116,11 @@ class StatementKind(enum.Enum):
     STAR_ASSIGN = "star_assign" # *a = b
 
 
-@dataclass(frozen=True)
-class Statement:
-    """One normalized pointer statement (single level of dereferencing)."""
+class Statement(NamedTuple):
+    """One normalized pointer statement (single level of dereferencing).
+
+    A named tuple: it compares and hashes as the plain tuple
+    (kind, lhs, rhs), and `str` renders it in the `.pa` syntax."""
 
     kind: StatementKind
     lhs: Variable

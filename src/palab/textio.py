@@ -1,8 +1,9 @@
 """Line-oriented ASCII formats: programs (.pa), labeled graphs (.lg),
 matrices (.bm), grammars (.cfg), solutions (.sol), provenance maps (.map).
 
-`#` starts a comment in every format. Parsing a serialized value gives the
-value back; serializing a parsed canonical text gives the text back.
+`#` starts a comment in every format, and a line ends at any
+`str.splitlines` line end. Parsing a serialized value gives the value back;
+serializing a parsed canonical text gives the text back.
 """
 
 from __future__ import annotations
@@ -27,9 +28,18 @@ from .model import (
 )
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*'*"
-_STMT_RE = re.compile(
-    rf"(?P<lstar>\*)?\s*(?P<lhs>{_IDENT})\s*=\s*(?P<rop>[&*])?\s*(?P<rhs>{_IDENT})\Z"
-)
+_WS = r"[^\S\n]*"  # whitespace inside one line
+# One normalized statement, groups (lstar, lhs, rop, rhs); a starred lhs
+# admits no right operator, so `*a = &b` fails here and needs no other check.
+_STMT = rf"(\*)?{_WS}({_IDENT}){_WS}=(?(1)|{_WS}([&*])?){_WS}({_IDENT})"
+_STMT_RE = re.compile(_STMT + r"\Z")
+# Per line of "\n"-joined text: exactly one statement, or the whole line as
+# group 5 for the chunk splitter (blank, comment, `;`, or an error).
+_LINE_RE = re.compile(rf"^(?:{_WS}{_STMT}{_WS}$|(.*))", re.M)
+_KIND = {  # (lstar, rop) -> kind, nested by lstar
+    "": {"&": StatementKind.ADDRESS_OF, "": StatementKind.ASSIGN, "*": StatementKind.ASSIGN_STAR},
+    "*": {"": StatementKind.STAR_ASSIGN},
+}
 
 
 def _content_lines(text: str) -> Iterable[tuple[int, str]]:
@@ -42,33 +52,43 @@ def _content_lines(text: str) -> Iterable[tuple[int, str]]:
 # ---------------------------------------------------------------------------
 # programs
 
-def parse_program(text: str) -> Program:
-    """Statements separated by newlines and/or semicolons; trailing ';' ok."""
-    statements = []
-    interned: dict[str, Variable] = {}  # one Variable per name
-    for lineno, line in _content_lines(text):
-        for chunk in line.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
+def _chunks(line: str, lineno: int) -> list[tuple[str, ...]]:
+    """(lstar, lhs, rop, rhs) of each `;`-separated statement of one line."""
+    found = []
+    for chunk in line.split("#", 1)[0].split(";"):
+        chunk = chunk.strip()
+        if chunk:
             m = _STMT_RE.match(chunk)
             if not m:
                 raise ParseError(f"not a normalized statement: {chunk!r}", lineno)
-            lstar, lhs, rop, rhs = m.group("lstar", "lhs", "rop", "rhs")
-            if lstar and rop:
-                raise ParseError(f"not a normalized statement: {chunk!r}", lineno)
-            if lstar:
-                kind = StatementKind.STAR_ASSIGN
-            elif rop == "&":
-                kind = StatementKind.ADDRESS_OF
-            elif rop == "*":
-                kind = StatementKind.ASSIGN_STAR
-            else:
-                kind = StatementKind.ASSIGN
+            found.append(m.groups(""))
+    return found
+
+
+def parse_program(text: str) -> Program:
+    """Statements separated by newlines and/or semicolons; trailing ';' ok.
+
+    One regex scan over the text's lines (any `str.splitlines` line end)
+    matches the common line of exactly one statement; other lines go
+    through the chunk splitter, which raises `ParseError` with the line
+    number on the first chunk that is not a statement."""
+    statements = []
+    interned: dict[str, Variable] = {}  # one Variable per name
+    lines = _LINE_RE.findall("\n".join(text.splitlines()))
+    for lineno, (lstar, lhs, rop, rhs, rest) in enumerate(lines, start=1):
+        if lhs:
             a = interned.get(lhs) or interned.setdefault(lhs, Variable(lhs))
             b = interned.get(rhs) or interned.setdefault(rhs, Variable(rhs))
-            statements.append(Statement(kind, a, b))
-    return Program(statements)
+            statements.append(Statement(_KIND[lstar][rop], a, b))
+        elif rest:
+            for lstar, lhs, rop, rhs in _chunks(rest, lineno):
+                a = interned.get(lhs) or interned.setdefault(lhs, Variable(lhs))
+                b = interned.get(rhs) or interned.setdefault(rhs, Variable(rhs))
+                statements.append(Statement(_KIND[lstar][rop], a, b))
+    program = Program(statements)
+    # the intern table is in first-appearance order already: seed the cache
+    vars(program)["variables"] = tuple(interned.values())
+    return program
 
 
 def serialize_program(program: Program) -> str:

@@ -8,6 +8,7 @@ and a direct constraint sweep checks that a points-to solution is closed.
 from __future__ import annotations
 
 import random
+import re
 from collections import defaultdict
 
 from palab.cfl import derives
@@ -15,9 +16,12 @@ from palab.crosscheck import worked_dyck_graph
 from palab.model import (
     Grammar,
     LabeledDigraph,
+    ParseError,
     PointsToSolution,
     Program,
+    Statement,
     StatementKind,
+    Variable,
 )
 
 EXAMPLE_PROGRAM_TEXT = "a = &b\nb = &d\nc = *a\n"
@@ -190,3 +194,47 @@ def rand_acyclic_graph(alphabet: list[str], max_nodes: int, max_edges: int, seed
         v = u + 1 + pick(n - u - 1)
         edges.add((u, alphabet[pick(len(alphabet))], v))
     return LabeledDigraph(n, alphabet, edges)
+
+
+# The line-by-line program parser that the one-scan `textio.parse_program`
+# replaced, kept verbatim as the reference for the differential parse test.
+_REF_IDENT = r"[A-Za-z_][A-Za-z0-9_]*'*"
+_REF_STMT_RE = re.compile(
+    rf"(?P<lstar>\*)?\s*(?P<lhs>{_REF_IDENT})\s*=\s*(?P<rop>[&*])?\s*(?P<rhs>{_REF_IDENT})\Z"
+)
+
+
+def _reference_content_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def reference_parse_program(text: str) -> Program:
+    """Statements separated by newlines and/or semicolons; trailing ';' ok."""
+    statements = []
+    interned: dict[str, Variable] = {}  # one Variable per name
+    for lineno, line in _reference_content_lines(text):
+        for chunk in line.split(";"):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            m = _REF_STMT_RE.match(chunk)
+            if not m:
+                raise ParseError(f"not a normalized statement: {chunk!r}", lineno)
+            lstar, lhs, rop, rhs = m.group("lstar", "lhs", "rop", "rhs")
+            if lstar and rop:
+                raise ParseError(f"not a normalized statement: {chunk!r}", lineno)
+            if lstar:
+                kind = StatementKind.STAR_ASSIGN
+            elif rop == "&":
+                kind = StatementKind.ADDRESS_OF
+            elif rop == "*":
+                kind = StatementKind.ASSIGN_STAR
+            else:
+                kind = StatementKind.ASSIGN
+            a = interned.get(lhs) or interned.setdefault(lhs, Variable(lhs))
+            b = interned.get(rhs) or interned.setdefault(rhs, Variable(rhs))
+            statements.append(Statement(kind, a, b))
+    return Program(statements)
