@@ -44,7 +44,6 @@ from .model import (
     StatementKind,
     Variable,
     _ones,
-    as_variable,
 )
 
 VarPair = tuple[Variable, Variable]
@@ -257,4 +256,4 @@ def query(
     solution: PointsToSolution, p: Union[Variable, str], q: Union[Variable, str]
 ) -> bool:
     """True iff loc(q) is in pt(p)."""
-    return solution.query(as_variable(p), as_variable(q))
+    return solution.query(p, q)

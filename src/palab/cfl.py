@@ -1,11 +1,13 @@
 """Generic CFL/Dyck reachability over labeled digraphs.
 
+`normalize` compiles each grammar once (cached per grammar value): it
+binarizes the productions, codes every symbol, and builds the rule tables.
 `all_pairs` saturates summary edges with a semi-naive worklist closure over
-a binarized grammar, one bitset row of targets per (symbol, source);
-`st_query` runs the same engine with an early exit. A fact enters the column
-index that right joins read when it pops, not when it is derived; every
-pair of facts of a binary rule is still joined by the time the later of
-the two pops (see `_closure`). Binarization shares one helper per body suffix (or
+those tables, one bitset row of targets per (symbol, source); `st_query`
+runs the same engine with an early exit. A fact enters the column index
+that right joins read when it pops, not when it is derived; every pair of
+facts of a binary rule is still joined by the time the later of the two
+pops (see `_closure`). Binarization shares one helper per body suffix (or
 prefix) across productions. Epsilon never enters the worklist: unit rules
 compensate for nullable operands, and the diagonal of each nullable symbol
 is added at the end. The built-in grammars (Dyck-1, generalized Dyck, and
@@ -121,7 +123,7 @@ def _nullable_closure(productions: Sequence[tuple[str, tuple[str, ...]]]) -> set
 
 @dataclass(frozen=True)
 class NormalizedGrammar:
-    """Binarized view of a grammar for the saturation engine.
+    """Binarized grammar compiled into the saturation engine's tables.
 
     `binary_productions` have right-hand sides of length 1 or 2 with no
     epsilon. `nullable` names every symbol that derives epsilon, helpers
@@ -129,23 +131,34 @@ class NormalizedGrammar:
     L -> Y when X is nullable and L -> X when Y is, which keeps every
     summary over a nonempty path; the empty-path summaries (v, X, v) of the
     nullable symbols are added once the saturation is complete.
+
+    `codes` numbers every symbol (terminals, nonterminals and helpers) in
+    sorted-name order. The rule tables are indexed by code and list, in
+    `binary_productions` order: L for each L -> X in `unit_by[X]`, (Y, L)
+    for each L -> X Y in `left_of[X]`, and (Y, L) for each L -> Y X in
+    `right_of[X]`. Every field is read-only.
     """
 
     binary_productions: tuple[tuple[str, tuple[str, ...]], ...]
     nullable: frozenset[str]
     helper_map: Mapping[str, tuple[str, tuple[str, ...]]]
+    codes: Mapping[str, int]
+    unit_by: tuple[tuple[int, ...], ...]
+    left_of: tuple[tuple[tuple[int, int], ...], ...]
+    right_of: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @lru_cache(maxsize=32)
 def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
-    """Split long productions with fresh helpers and pre-compute nullability.
+    """Split long productions with fresh helpers, pre-compute nullability,
+    and compile the symbol codes and rule tables that `_closure` reads.
 
     `assoc` picks the helper chaining direction; either yields the same
     summaries once helpers are projected out. A helper derives exactly the
     suffix (right) or prefix (left) of a body that it spans, so productions
     whose bodies share that span share the helper; `helper_map` records the
     first production that needed it. Helper names are `@<k>` names that the
-    grammar does not use.
+    grammar does not use. No other function codes symbols.
 
     Results are cached per (grammar value, assoc); every caller shares the
     one read-only value.
@@ -201,10 +214,25 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
             seen.add(rule)
             deduped.append(rule)
 
+    codes = {sym: c for c, sym in enumerate(sorted(taken | helper_map.keys()))}
+    unit_by: list[list[int]] = [[] for _ in codes]
+    left_of: list[list[tuple[int, int]]] = [[] for _ in codes]
+    right_of: list[list[tuple[int, int]]] = [[] for _ in codes]
+    for lhs, rhs in deduped:
+        if len(rhs) == 1:
+            unit_by[codes[rhs[0]]].append(codes[lhs])
+        else:
+            x, y = codes[rhs[0]], codes[rhs[1]]
+            left_of[x].append((y, codes[lhs]))
+            right_of[y].append((x, codes[lhs]))
     return NormalizedGrammar(
         binary_productions=tuple(deduped),
         nullable=frozenset(nullable),
         helper_map=MappingProxyType(helper_map),
+        codes=MappingProxyType(codes),
+        unit_by=tuple(map(tuple, unit_by)),
+        left_of=tuple(map(tuple, left_of)),
+        right_of=tuple(map(tuple, right_of)),
     )
 
 
@@ -258,61 +286,35 @@ def _closure(
     target: Optional[tuple[int, str, int]] = None,
     stats: Optional[dict] = None,
 ):
-    """Semi-naive saturation over bitset rows; returns (out, symbol table, hit).
+    """Semi-naive saturation over bitset rows; returns (out, hit).
 
     out[X][u] is the bitset of the targets v of the summaries (u, X, v), X a
-    symbol code. New targets of a row wait as one coalesced delta per
-    (X, u). Popping a delta D of X at row u first indexes it in the column
-    index in[X] (in[X][v]: the sources w of popped facts (w, X, v), kept
-    only for left operands X), then joins L -> X Y by OR-ing the out[Y] rows
-    over the bits of D into out[L][u], and L -> Y X by OR-ing D into
-    out[L][w] for each w in in[Y][u]. Each pair of facts A = (w, Y, u),
-    B = (u, X, v) of a rule L -> Y X is joined: if A pops first, B's right
-    join finds it in in[Y]; if B is known first, A's left join reads it in
-    out[X]. Helpers are plain symbols here (normalize shares one per body
-    suffix or prefix), and the rule tables are lists indexed by symbol code.
-    Nullable operands are carried by normalize's unit rules, so no
-    empty-path fact enters the worklist; at the fixpoint the diagonal is
-    OR-ed into the rows of the nullable symbols. With a target the loop
-    stops at the first pop after its bit lands, and `out` is partial.
+    symbol code of `norm.codes`; the rule tables are `norm`'s. New targets
+    of a row wait as one coalesced delta per (X, u). Popping a delta D of X
+    at row u first indexes it in the column index in[X] (in[X][v]: the
+    sources w of popped facts (w, X, v), kept only for left operands X),
+    then joins L -> X Y by OR-ing the out[Y] rows over the bits of D into
+    out[L][u], and L -> Y X by OR-ing D into out[L][w] for each w in
+    in[Y][u]. Each pair of facts A = (w, Y, u), B = (u, X, v) of a rule
+    L -> Y X is joined: if A pops first, B's right join finds it in in[Y];
+    if B is known first, A's left join reads it in out[X]. Nullable
+    operands are carried by normalize's unit rules, so no empty-path fact
+    enters the worklist; at the fixpoint the diagonal is OR-ed into the
+    rows of the nullable symbols. With a target the loop stops at the first
+    pop after its bit lands, and `out` is partial.
 
     When `stats` is a dict it receives `pops`, `joined_rows` (rows visited
-    by right joins), `summaries` (set bits per symbol, helpers included)
-    and, with a target, `stopped_at` (the pop count at the stop, or None at
-    the fixpoint).
+    by right joins), `summaries` (set bits per symbol of `norm.codes`,
+    helpers included) and, with a target, `stopped_at` (the pop count at
+    the stop, or None at the fixpoint).
     """
-    symbols: dict[str, int] = {}
-
-    def code(sym: str) -> int:
-        got = symbols.get(sym)
-        if got is None:
-            got = symbols[sym] = len(symbols)
-        return got
-
-    coded = [
-        (code(lhs), tuple(code(sym) for sym in rhs)) for lhs, rhs in norm.binary_productions
-    ]
-    for sym in sorted(graph.alphabet) + sorted(norm.nullable):
-        code(sym)
+    codes, unit_by, left_of, right_of = norm.codes, norm.unit_by, norm.left_of, norm.right_of
     if target is not None:
-        ts, tc, tt = target[0], code(target[1]), target[2]
-
-    k = len(symbols)
-    unit_by: list[list[int]] = [[] for _ in range(k)]               # on X: rules L -> X
-    left_of: list[list[tuple[int, int]]] = [[] for _ in range(k)]   # on X: L -> X Y, as (Y, L)
-    right_of: list[list[tuple[int, int]]] = [[] for _ in range(k)]  # on X: L -> Y X, as (Y, L)
-    for lhs, rhs in coded:
-        if len(rhs) == 1:
-            unit_by[rhs[0]].append(lhs)
-        else:
-            x, y = rhs
-            left_of[x].append((y, lhs))
-            right_of[y].append((x, lhs))
-
+        ts, tc, tt = target[0], codes[target[1]], target[2]
     n = graph.node_count
-    out = [[0] * n for _ in range(k)]
-    inn = [[0] * n if left_of[c] else None for c in range(k)]
-    delta = [[0] * n for _ in range(k)]
+    out = [[0] * n for _ in codes]
+    inn = [[0] * n if left else None for left in left_of]
+    delta = [[0] * n for _ in codes]
     work: deque[tuple[int, int]] = deque()
     pop = work.popleft
 
@@ -325,7 +327,7 @@ def _closure(
         pending[u] |= new
 
     for src, label, dst in sorted(graph.edges):
-        add(symbols[label], src, 1 << dst)
+        add(codes[label], src, 1 << dst)
 
     hit = False
     pops = joined = 0
@@ -369,31 +371,29 @@ def _closure(
     # every new bit queues its row, so a landed target is seen by a pop above
     if not hit:
         for sym in norm.nullable:
-            rows = out[symbols[sym]]
+            rows = out[codes[sym]]
             for v in range(n):
                 rows[v] |= 1 << v
     if stats is not None:
         stats.update(
             pops=pops,
             joined_rows=joined,
-            summaries={
-                sym: sum(row.bit_count() for row in out[c]) for sym, c in sorted(symbols.items())
-            },
+            summaries={sym: sum(row.bit_count() for row in out[c]) for sym, c in codes.items()},
         )
         if target is not None:
             stats["stopped_at"] = pops if hit else None
-    return out, symbols, hit
+    return out, hit
 
 
 def _saturate(graph: LabeledDigraph, norm: NormalizedGrammar):
     """The engine's raw output as (summary triples (u, symbol code, v),
-    symbol table, hit), helpers included, for experiments that compare
+    symbol codes, hit), helpers included, for experiments that compare
     binarizations below the `all_pairs` projection."""
-    out, symbols, hit = _closure(graph, norm)
+    out, hit = _closure(graph, norm)
     triples = {
         (u, c, v) for c, rows in enumerate(out) for u, row in enumerate(rows) for v in _ones(row)
     }
-    return triples, symbols, hit
+    return triples, norm.codes, hit
 
 
 def all_pairs(
@@ -402,15 +402,15 @@ def all_pairs(
     """Every summary (u, X, v) over the grammar's own symbols; nullable
     symbols contribute (v, X, v) for every node. `stats`: see `_closure`."""
     _check_alphabet(graph, grammar)
-    out, symbols, _ = _closure(graph, normalize(grammar), stats=stats)
-    keep = grammar.terminals | grammar.nonterminals
+    norm = normalize(grammar)
+    out, _ = _closure(graph, norm, stats=stats)
     by_symbol = []
-    for sym, c in sorted(symbols.items()):
+    for sym, c in norm.codes.items():
         rows = out[c]
         end = len(rows)
         while end and not rows[end - 1]:
             end -= 1
-        if end and sym in keep:
+        if end and sym not in norm.helper_map:
             by_symbol.append((sym, tuple(rows[:end])))
     return SummarySet(tuple(by_symbol))
 
@@ -430,7 +430,7 @@ def st_query(
         if stats is not None:
             stats.update(pops=0, joined_rows=0, summaries={}, stopped_at=0)
         return True
-    _, _, hit = _closure(graph, norm, target=(s, grammar.start, t), stats=stats)
+    _, hit = _closure(graph, norm, target=(s, grammar.start, t), stats=stats)
     return hit
 
 
@@ -463,43 +463,24 @@ def follow_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
     nullable = _nullable_closure(grammar.productions)
     first = _first_sets(grammar, nullable)
 
-    # Follow over nonterminals without end markers, every nonterminal a root.
-    follow_nt: dict[str, set[str]] = {nt: set() for nt in grammar.nonterminals}
+    # Follow over every symbol without end markers, every nonterminal a root.
+    follow: dict[str, set[str]] = {sym: set() for sym in first}
     changed = True
     while changed:
         changed = False
         for lhs, rhs in grammar.productions:
             for i, sym in enumerate(rhs):
-                if sym not in grammar.nonterminals:
-                    continue
-                acc = follow_nt[sym]
+                acc = follow[sym]
                 before = len(acc)
-                tail_nullable = True
                 for nxt in rhs[i + 1 :]:
                     acc |= first[nxt]
                     if nxt not in nullable:
-                        tail_nullable = False
                         break
-                if tail_nullable:
-                    acc |= follow_nt[lhs]
+                else:
+                    acc |= follow[lhs]
                 if len(acc) != before:
                     changed = True
-
-    result: dict[str, set[str]] = {t: set() for t in grammar.terminals}
-    for lhs, rhs in grammar.productions:
-        for i, sym in enumerate(rhs):
-            if sym not in grammar.terminals:
-                continue
-            acc = result[sym]
-            tail_nullable = True
-            for nxt in rhs[i + 1 :]:
-                acc |= first[nxt]
-                if nxt not in nullable:
-                    tail_nullable = False
-                    break
-            if tail_nullable:
-                acc |= follow_nt[lhs]
-    return {t: frozenset(ws) for t, ws in result.items()}
+    return {t: frozenset(follow[t]) for t in grammar.terminals}
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,9 @@ def parse_graph(text: str) -> LabeledDigraph:
     `name <id> <name>` lines, then edges `<src> <label> <dst>` where node
     tokens are ids (`-?[0-9]+`) or names (fresh names take dense ids in
     appearance order; no name may look like an id). Duplicate edges
-    collapse silently."""
+    collapse silently. The `alphabet` lines, wherever they sit, declare the
+    alphabet together, and it must list every edge label; without them
+    the alphabet is the set of edge labels."""
     lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty graph file: missing `nodes <n>` header")
@@ -117,6 +119,7 @@ def parse_graph(text: str) -> LabeledDigraph:
 
     alphabet: set[str] = set()
     alphabet_declared = False
+    labels: set[str] = set()  # every edge label
     names: dict[int, str] = {}
     node_of: dict[str, int] = {}  # each name and id token seen so far
     edges: set[tuple[int, str, int]] = set()
@@ -165,11 +168,17 @@ def parse_graph(text: str) -> LabeledDigraph:
         if len(parts) != 3:
             raise ParseError("expected `<src> <label> <dst>` edge", lineno)
         src, label, dst = parts
-        if alphabet_declared and label not in alphabet:
-            raise ParseError(f"label {label!r} not in declared alphabet", lineno)
-        if not alphabet_declared:
-            alphabet.add(label)
+        labels.add(label)
         edges.add((resolve(src, lineno), label, resolve(dst, lineno)))
+
+    if not alphabet_declared:
+        alphabet = labels
+    elif not labels <= alphabet:
+        # error path only: report the first edge line with an undeclared label
+        for lineno, line in lines[1:]:
+            parts = line.split()
+            if parts[0] not in ("alphabet", "name") and parts[1] not in alphabet:
+                raise ParseError(f"label {parts[1]!r} not in declared alphabet", lineno)
 
     node_names = None
     if names:

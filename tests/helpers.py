@@ -11,7 +11,7 @@ import random
 import re
 from collections import defaultdict
 
-from palab.cfl import derives
+from palab.cfl import _first_sets, _nullable_closure, derives
 from palab.crosscheck import worked_dyck_graph
 from palab.model import (
     Grammar,
@@ -103,6 +103,54 @@ def reference_saturation(graph: LabeledDigraph, grammar: Grammar) -> dict[str, s
                 rel[lhs] |= acc
                 changed = True
     return rel
+
+
+# The two-pass Follow computation that the one-fixpoint `cfl.follow_sets`
+# replaced, kept verbatim as the reference for the differential Follow test.
+def reference_follow_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
+    """Follow(t) for each terminal t: the terminals that can appear
+    immediately to the right of t in a sentential form derivable from any
+    nonterminal of the grammar."""
+    nullable = _nullable_closure(grammar.productions)
+    first = _first_sets(grammar, nullable)
+
+    # Follow over nonterminals without end markers, every nonterminal a root.
+    follow_nt: dict[str, set[str]] = {nt: set() for nt in grammar.nonterminals}
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in grammar.productions:
+            for i, sym in enumerate(rhs):
+                if sym not in grammar.nonterminals:
+                    continue
+                acc = follow_nt[sym]
+                before = len(acc)
+                tail_nullable = True
+                for nxt in rhs[i + 1 :]:
+                    acc |= first[nxt]
+                    if nxt not in nullable:
+                        tail_nullable = False
+                        break
+                if tail_nullable:
+                    acc |= follow_nt[lhs]
+                if len(acc) != before:
+                    changed = True
+
+    result: dict[str, set[str]] = {t: set() for t in grammar.terminals}
+    for lhs, rhs in grammar.productions:
+        for i, sym in enumerate(rhs):
+            if sym not in grammar.terminals:
+                continue
+            acc = result[sym]
+            tail_nullable = True
+            for nxt in rhs[i + 1 :]:
+                acc |= first[nxt]
+                if nxt not in nullable:
+                    tail_nullable = False
+                    break
+            if tail_nullable:
+                acc |= follow_nt[lhs]
+    return {t: frozenset(ws) for t, ws in result.items()}
 
 
 def constraint_violations(program: Program, solution: PointsToSolution) -> list[str]:

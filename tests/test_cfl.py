@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 
 from palab.cfl import all_pairs, builtin_grammar, derives, normalize, st_query
@@ -259,3 +261,33 @@ def test_engine_counters_repeat_and_stay_opt_in():
     empty = {}
     assert st_query(g, D1, 0, 0, stats=empty)
     assert empty["stopped_at"] == 0
+
+
+def test_normalize_compiles_symbol_codes_and_rule_tables():
+    nullable_middle = _hand_grammar("nullable middle")
+    assert any(h in normalize(nullable_middle).nullable for h in normalize(nullable_middle).helper_map)
+    grammars = [D1, builtin_grammar("dyck:2"), PT, builtin_grammar("pt_prime")]
+    grammars += [nullable_middle, _hand_grammar("unit cycle")]
+    for grammar in grammars:
+        for assoc in ("right", "left"):
+            norm = normalize(grammar, assoc=assoc)
+            assert norm is normalize(grammar, assoc=assoc)
+            names = sorted(grammar.terminals | grammar.nonterminals | norm.helper_map.keys())
+            assert isinstance(norm.codes, MappingProxyType)
+            assert list(norm.codes.items()) == [(sym, c) for c, sym in enumerate(names)]
+            rules = norm.binary_productions
+            assert all(1 <= len(rhs) <= 2 for _, rhs in rules)
+            for table in (norm.unit_by, norm.left_of, norm.right_of):
+                assert isinstance(table, tuple) and len(table) == len(names)
+                assert all(isinstance(row, tuple) for row in table)
+            # decoded row by row, in binary_productions order
+            for x, sym in enumerate(names):
+                assert [(names[lhs], (sym,)) for lhs in norm.unit_by[x]] == [
+                    rule for rule in rules if rule[1] == (sym,)
+                ], (grammar.start, assoc, sym)
+                assert [(names[lhs], (sym, names[y])) for y, lhs in norm.left_of[x]] == [
+                    rule for rule in rules if len(rule[1]) == 2 and rule[1][0] == sym
+                ], (grammar.start, assoc, sym)
+                assert [(names[lhs], (names[y], sym)) for y, lhs in norm.right_of[x]] == [
+                    rule for rule in rules if len(rule[1]) == 2 and rule[1][1] == sym
+                ], (grammar.start, assoc, sym)

@@ -327,3 +327,17 @@ def test_reach_stats_go_to_stderr_only(workdir, capsys, query):
     expected = {"pops", "joined_rows", "summaries"} | ({"stopped_at"} if query else set())
     assert set(stats) == expected
     assert stats["pops"] > 0 and stats["summaries"]["D1"] > 0
+
+
+def test_reach_stats_list_every_grammar_symbol_for_both_queries(workdir, capsys):
+    graph = workdir / "g.lg"
+    graph.write_text("nodes 3\n0 a 1\n1 b 2\n")
+    cfg = workdir / "unproductive.cfg"
+    cfg.write_text("start Y\nterminals a b\nX -> a b\n")
+    summaries = []
+    for query, code in (([], 0), (["--source", "0", "--target", "2"], 1)):
+        assert main(["reach", str(graph), "--grammar", str(cfg), "--stats", *query]) == code
+        summaries.append(json.loads(capsys.readouterr().err)["summaries"])
+    assert summaries[0].keys() == summaries[1].keys() == {"X", "Y", "a", "b"}
+    assert summaries[0]["Y"] == summaries[1]["Y"] == 0
+    assert summaries[0]["X"] == 1

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from palab.cfl import builtin_grammar, derives, dyck_grammar, follow_sets, normalize
 from palab.model import Grammar, InvalidParamsError
 from palab.peg import PEG_ALPHABET
+
+import helpers
 
 
 def test_dyck1_grammar_shape():
@@ -93,3 +97,26 @@ def test_follow_sets_on_a_toy_grammar():
     fs = follow_sets(g)
     assert fs["x"] == frozenset({"y"})  # through the nullable middle
     assert fs["y"] == frozenset()
+
+
+def _rand_grammar(seed: int) -> Grammar:
+    """A small random grammar; about a third of the bodies are empty."""
+    rng = random.Random(seed)
+    terminals = ["a", "b", "c"][: rng.randint(1, 3)]
+    nonterminals = ["S", "A", "B", "C"][: rng.randint(1, 4)]
+    symbols = terminals + nonterminals
+    productions = [
+        (rng.choice(nonterminals), tuple(rng.choice(symbols) for _ in range(rng.choice([0, 0, 1, 2, 3, 4]))))
+        for _ in range(rng.randint(1, 8))
+    ]
+    return Grammar(terminals, nonterminals, productions, "S")
+
+
+def test_follow_sets_match_the_two_pass_reference():
+    nullable_tails = 0
+    for seed in range(1000):
+        g = _rand_grammar(seed)
+        assert follow_sets(g) == helpers.reference_follow_sets(g), seed
+        nullable = normalize(g).nullable
+        nullable_tails += any(rhs and rhs[-1] in nullable for _, rhs in g.productions)
+    assert nullable_tails > 100  # the draws exercise Follow through nullable tails

@@ -200,3 +200,14 @@ def test_map_serialization_is_tsv():
     text = serialize_map(rmap)
     assert "0\tquery_var\tx0" in text
     assert "0\taddr_var\tx0'" in text
+
+
+@pytest.mark.parametrize("lines", [["0 y 1", "alphabet x"], ["alphabet x", "0 y 1"]])
+def test_declared_alphabet_lists_every_label_in_any_line_order(lines):
+    with pytest.raises(ParseError, match="label 'y' not in declared alphabet"):
+        parse_graph("nodes 2\n" + "\n".join(lines) + "\n")
+    for text in ("nodes 2\nalphabet a\n0 a 1\n", "nodes 2\n0 a 1\nalphabet a\n"):
+        g = parse_graph(text)
+        assert g.alphabet == frozenset({"a"}) and g.edges == frozenset({(0, "a", 1)})
+    split = parse_graph("nodes 2\nalphabet x\n0 y 1\nalphabet y z\n")
+    assert split.alphabet == frozenset({"x", "y", "z"})
