@@ -14,7 +14,7 @@ from .model import (
     StatementProfile,
     Variable,
 )
-from .andersen import ConstraintSet, extract_constraints, query, solve
+from .andersen import query, solve
 from .peg import PEG, ExprForm, build_peg, peg_statements
 from .cfl import (
     NormalizedGrammar,

@@ -1,5 +1,5 @@
-"""Inclusion-based points-to solver: difference propagation with lazy
-cycle collapse.
+"""Inclusion-based points-to solver: offline and lazy cycle collapse,
+difference propagation, set-at-a-time joins.
 
 The solver resolves the four constraint kinds over a constraint graph whose
 copy edges grow during resolution:
@@ -9,67 +9,38 @@ copy edges grow during resolution:
     a = *b   for v in pt(b): pt(v) subset-of pt(a)   (copy edge v -> a)
     *a = b   for v in pt(a): pt(b) subset-of pt(v)   (copy edge b -> v)
 
-Points-to sets are bitsets indexed by variable id. Every node keeps a
-difference set `delta` of the bits it gained since it was last processed.
-A worklist pop snapshots and clears that delta and works on the snapshot
-alone; bits that arrive meanwhile re-queue the node.
+Points-to sets are bitsets indexed by variable id.
 
-* Difference-driven complex constraints: `a = *n` and `*n = b` add copy
-  edges for the snapshot's pointees only. A new edge carries its source's
-  whole set once; later growth travels along it as deltas.
-* Copy edges move the snapshot, not the whole set, to each successor.
-* Lazy cycle detection (Hardekopf & Lin, PLDI 2007): when propagation along
-  x -> z leaves pt(z) == pt(x) and that edge was never checked, a
-  depth-first search from z looks for a way back to x. The nodes found on
-  such paths lie on a copy-edge cycle, so their sets are equal at the fixed
-  point; they collapse into one representative that takes over their sets,
-  edges, loads and stores and is re-queued with delta = pt. `rep` is a flat
-  list rewritten for every member of a merged group (smaller member list
-  into larger), so finding a representative is one index.
+1. Offline phase: one iterative Tarjan pass collapses every cycle of the
+   `a = b` edges before the first pop.
+2. Worklist phase: every node keeps a difference set `delta` of the bits it
+   gained since it was last processed. A pop snapshots and clears it and
+   works on the snapshot alone; bits that arrive meanwhile re-queue it.
+   * Pointees: the snapshot's bits outside any merged group, plus one
+     representative per group that it meets (one AND per group).
+   * `a = *n` and `*n = b` add copy edges for those pointees. Every edge
+     between the two sides is a constraint, so one OR of the sources that
+     gained an edge flows into every target; later growth travels as deltas.
+   * Copy edges move the snapshot, not the whole set, to each successor.
+   * Lazy cycle detection (Hardekopf & Lin, PLDI 2007): when propagation
+     along x -> z leaves pt(z) == pt(x) and that edge was never checked, a
+     depth-first search from z looks for the copy-edge paths back to x.
 
-The output builds one frozenset per distinct bitset and shares it between
-variables. The result is the least fixed point of whole-set iteration,
-whatever the worklist policy or statement order.
+Both phases merge a cycle the same way: its nodes' sets are equal at the
+fixed point, so the one that stands for the most variables takes over the
+others' sets, edges, loads and stores and is re-queued with delta = pt.
+`rep` is a flat list, so finding a representative is one index. The output
+builds one frozenset per distinct bitset and shares it between variables.
+The result is the least fixed point of whole-set iteration, whatever the
+worklist policy or statement order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .model import (
-    PointsToSolution,
-    Program,
-    StatementKind,
-    Variable,
-    _ones,
-)
-
-VarPair = tuple[Variable, Variable]
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """The program's statements bucketed by constraint kind."""
-
-    address_of: frozenset[VarPair]   # (a, b) for a = &b
-    assign: frozenset[VarPair]       # (a, b) for a = b
-    assign_star: frozenset[VarPair]  # (a, b) for a = *b
-    star_assign: frozenset[VarPair]  # (a, b) for *a = b
-
-
-def extract_constraints(program: Program) -> ConstraintSet:
-    """Classify each statement into exactly one constraint bucket."""
-    buckets: dict[StatementKind, set[VarPair]] = {kind: set() for kind in StatementKind}
-    for st in program.statements:
-        buckets[st.kind].add((st.lhs, st.rhs))
-    return ConstraintSet(
-        address_of=frozenset(buckets[StatementKind.ADDRESS_OF]),
-        assign=frozenset(buckets[StatementKind.ASSIGN]),
-        assign_star=frozenset(buckets[StatementKind.ASSIGN_STAR]),
-        star_assign=frozenset(buckets[StatementKind.STAR_ASSIGN]),
-    )
+from .model import PointsToSolution, Program, StatementKind, Variable, _ones
 
 
 def _cycle_through(x: int, z: int, succ: list[set[int]], rep: list[int]):
@@ -96,6 +67,43 @@ def _cycle_through(x: int, z: int, succ: list[set[int]], rep: list[int]):
     return reach if z in reach else ()
 
 
+def _copy_sccs(succ: list[set[int]]) -> list[list[int]]:
+    """Copy-edge cycles (components of more than one node), by one iterative
+    Tarjan pass. low[u] is 0 until u is visited, then its 1-based stack depth
+    lowered to the least one it reaches, then len(succ) + 1 once closed."""
+    done = len(succ) + 1
+    low = [0] * len(succ)
+    found = []
+    for root in range(len(succ)):
+        if low[root] or not succ[root]:
+            continue
+        stack = [root]  # every earlier component is closed
+        low[root] = 1
+        calls = [(root, 1, iter(succ[root]))]
+        while calls:
+            u, mark, edges = calls[-1]
+            for w in edges:
+                if not low[w]:
+                    stack.append(w)
+                    low[w] = len(stack)
+                    calls.append((w, len(stack), iter(succ[w])))
+                    break
+                if low[w] < low[u]:
+                    low[u] = low[w]
+            else:
+                calls.pop()
+                if low[u] == mark:
+                    component = stack[mark - 1:]
+                    del stack[mark - 1:]
+                    for w in component:
+                        low[w] = done
+                    if len(component) > 1:
+                        found.append(component)
+                elif low[u] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[u]
+    return found
+
+
 def solve(
     program: Program, policy: str = "fifo", stats: Optional[dict] = None
 ) -> PointsToSolution:
@@ -104,8 +112,10 @@ def solve(
     `policy` picks the worklist discipline ("fifo" or "lifo"); both yield
     the identical solution, which the test suite pins. When `stats` is a
     dict, it receives the counters `pops` (nonempty deltas processed),
-    `copy_edges` (edges added by complex constraints), `cycle_checks` and
-    `merged` (variables collapsed into another representative).
+    `copy_edges` (edges added by complex constraints), `cycle_checks`
+    (initial copy-edge SCCs collapsed, plus depth-first searches for a
+    lazily found cycle) and `merged` (variables collapsed into another
+    representative, by either phase).
     """
     if policy not in ("fifo", "lifo"):
         raise ValueError(f"unknown worklist policy {policy!r}")
@@ -134,35 +144,78 @@ def solve(
         else:
             stores[a].add(b)
 
-    # rep[i] is the node that stands for variable i, members[r] the variables
-    # r stands for; merged-away nodes keep no state. The ids in succ, loads
-    # and stores may name merged-away nodes until their owner is next popped:
-    # clean[n] is the merge count when n's three sets were last rewritten.
+    # rep[i] stands for variable i; merged-away nodes keep no state. groups[r]
+    # is the bitset of the variables that r stands for, if more than itself;
+    # a variable outside their union `grouped` is its own representative.
+    # Ids in succ, loads and stores may be stale until their owner is next
+    # popped: clean[n] is the merge count when n's sets were last rewritten.
     rep = list(range(nvars))
-    members = [[i] for i in range(nvars)]
+    groups: dict[int, int] = {}
+    grouped = 0
     clean = [0] * nvars
     delta = pt[:]
-    work = deque(i for i in range(nvars) if pt[i])
+    work: deque[int] = deque()
     queued = bytearray(nvars)
-    for i in work:
-        queued[i] = 1
     pop = work.popleft if policy == "fifo" else work.pop
     push = work.append
     checked: set[int] = set()  # x * nvars + z for every edge x -> z searched from
     candidates: list[int] = []
     pops = new_edges = checks = merged = merges = 0
 
-    def flow(bits: int, dst: int) -> int:
-        """Merge bits into pt[dst], queueing dst when something new arrived;
-        returns the new pt[dst]."""
-        new = bits & ~pt[dst]
-        if new:
-            pt[dst] |= new
-            delta[dst] |= new
-            if not queued[dst]:
-                queued[dst] = 1
-                push(dst)
-        return pt[dst]
+    def collapse(cycle) -> None:
+        """Merge the nodes of one copy-edge cycle into the one that stands
+        for the most variables, and queue it with delta = pt."""
+        nonlocal grouped, merged, merges
+        r = max(cycle, key=lambda u: groups.get(u, 1 << u).bit_count())
+        mask = 0
+        for o in cycle:
+            own = groups.pop(o, 1 << o)
+            mask |= own
+            if o != r:
+                for m in _ones(own):
+                    rep[m] = r
+                for table in (succ, loads, stores):
+                    table[r] |= table[o]
+                    table[o] = set()
+                pt[r] |= pt[o]
+                pt[o] = delta[o] = 0
+        groups[r] = mask
+        grouped |= mask
+        merged += len(cycle) - 1
+        merges += 1
+        delta[r] = pt[r]
+        if not queued[r]:
+            queued[r] = 1
+            push(r)
+
+    def join(sources, targets: set[int]) -> None:
+        """Add the copy edges from every source to every target, then flow
+        one OR of the sources that gained an edge into every target."""
+        nonlocal new_edges
+        gained = 0
+        for u in sources:
+            fresh = targets - succ[u]
+            fresh.discard(u)
+            if fresh:
+                succ[u] |= fresh
+                new_edges += len(fresh)
+                gained |= pt[u]
+        if gained:
+            for t in targets:
+                new = gained & ~pt[t]
+                if new:
+                    pt[t] |= new
+                    delta[t] |= new
+                    if not queued[t]:
+                        queued[t] = 1
+                        push(t)
+
+    for component in _copy_sccs(succ):  # the offline phase
+        checks += 1
+        collapse(component)
+    work.extend(i for i in range(nvars) if pt[i] and not queued[i])
+    for i in work:
+        queued[i] = 1
 
     while work:
         n = pop()
@@ -182,29 +235,25 @@ def solve(
 
         ld, sr = loads[n], stores[n]
         if ld or sr:
-            pointees = {rep[v] for v in _ones(d)}
-            for v in pointees if ld else ():  # a = *n: edges v -> a
-                out = succ[v]
-                fresh = ld - out
-                fresh.discard(v)
-                if fresh:
-                    out |= fresh
-                    new_edges += len(fresh)
-                    for a in fresh:
-                        flow(pt[v], a)
-            for b in sr:  # *n = b: edges b -> v
-                out = succ[b]
-                fresh = pointees - out
-                fresh.discard(b)
-                if fresh:
-                    out |= fresh
-                    new_edges += len(fresh)
-                    for v in fresh:
-                        flow(pt[b], v)
+            pointees = _ones(d & ~grouped)
+            if d & grouped:
+                pointees += [r for r, mask in groups.items() if d & mask]
+            if ld:
+                join(pointees, ld)  # a = *n: edges v -> a
+            if sr:
+                join(sr, set(pointees))  # *n = b: edges b -> v
 
         ptn = pt[n]
-        for z in succ[n]:
-            if flow(d, z) == ptn:
+        for z in succ[n]:  # copy edges move the snapshot
+            ptz = pt[z]
+            new = d & ~ptz
+            if new:
+                pt[z] = ptz = ptz | new
+                delta[z] |= new
+                if not queued[z]:
+                    queued[z] = 1
+                    push(z)
+            if ptz == ptn:
                 key = n * nvars + z
                 if key not in checked:
                     checked.add(key)
@@ -212,30 +261,11 @@ def solve(
 
         for z in candidates:
             x, z = rep[n], rep[z]
-            if x == z:
-                continue
-            checks += 1
-            cycle = _cycle_through(x, z, succ, rep)
-            if not cycle:
-                continue
-            r = max(cycle, key=lambda u: len(members[u]))
-            for o in cycle:
-                if o != r:
-                    for m in members[o]:
-                        rep[m] = r
-                    members[r] += members[o]
-                    pt[r] |= pt[o]
-                    succ[r] |= succ[o]
-                    loads[r] |= loads[o]
-                    stores[r] |= stores[o]
-                    members[o], succ[o], loads[o], stores[o] = [], set(), set(), set()
-                    pt[o] = delta[o] = 0
-            merged += len(cycle) - 1
-            merges += 1
-            delta[r] = pt[r]
-            if not queued[r]:
-                queued[r] = 1
-                push(r)
+            if x != z:
+                checks += 1
+                cycle = _cycle_through(x, z, succ, rep)
+                if cycle:
+                    collapse(cycle)
         candidates.clear()
 
     if stats is not None:

@@ -420,7 +420,7 @@ def st_query(
 ) -> bool:
     """True iff t is start-symbol-reachable from s; stops as soon as the
     target summary appears. `stats`: see `_closure`; an empty path answers
-    before any pop."""
+    before any pop, with every summary count 0."""
     for node in (s, t):
         if not 0 <= node < graph.node_count:
             raise InvalidNodeError(f"node {node} out of range")
@@ -428,7 +428,7 @@ def st_query(
     norm = normalize(grammar)
     if s == t and grammar.start in norm.nullable:
         if stats is not None:
-            stats.update(pops=0, joined_rows=0, summaries={}, stopped_at=0)
+            stats.update(pops=0, joined_rows=0, summaries=dict.fromkeys(norm.codes, 0), stopped_at=0)
         return True
     _, hit = _closure(graph, norm, target=(s, grammar.start, t), stats=stats)
     return hit

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import re
 from collections import defaultdict
+from dataclasses import dataclass
 
 from palab.cfl import _first_sets, _nullable_closure, derives
 from palab.crosscheck import worked_dyck_graph
@@ -151,6 +152,32 @@ def reference_follow_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
             if tail_nullable:
                 acc |= follow_nt[lhs]
     return {t: frozenset(ws) for t, ws in result.items()}
+
+
+VarPair = tuple[Variable, Variable]
+
+
+@dataclass(frozen=True)
+class ConstraintSet:
+    """The program's statements bucketed by constraint kind."""
+
+    address_of: frozenset[VarPair]   # (a, b) for a = &b
+    assign: frozenset[VarPair]       # (a, b) for a = b
+    assign_star: frozenset[VarPair]  # (a, b) for a = *b
+    star_assign: frozenset[VarPair]  # (a, b) for *a = b
+
+
+def extract_constraints(program: Program) -> ConstraintSet:
+    """Classify each statement into exactly one constraint bucket."""
+    buckets: dict[StatementKind, set[VarPair]] = {kind: set() for kind in StatementKind}
+    for st in program.statements:
+        buckets[st.kind].add((st.lhs, st.rhs))
+    return ConstraintSet(
+        address_of=frozenset(buckets[StatementKind.ADDRESS_OF]),
+        assign=frozenset(buckets[StatementKind.ASSIGN]),
+        assign_star=frozenset(buckets[StatementKind.ASSIGN_STAR]),
+        star_assign=frozenset(buckets[StatementKind.STAR_ASSIGN]),
+    )
 
 
 def constraint_violations(program: Program, solution: PointsToSolution) -> list[str]:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from palab.andersen import extract_constraints, query, solve
+from palab.andersen import _copy_sccs, query, solve
 from palab.cfl import all_pairs, builtin_grammar
 from palab.crosscheck import rand_program, worked_program
 from palab.model import Program, UnknownVariableError, Variable
@@ -10,6 +10,7 @@ from palab.peg import ExprForm, build_peg
 from palab.textio import parse_program
 
 import helpers
+from helpers import extract_constraints
 
 
 def test_constraint_extraction_buckets():
@@ -147,3 +148,65 @@ def test_copy_ring_is_collapsed_and_counted():
     stats = {}
     solve(parse_program("a = &x\nb = *a\nx = &y"), stats=stats)
     assert stats["copy_edges"] == 1 and stats["merged"] == 0
+
+
+@pytest.mark.parametrize("max_vars, max_stmts", [(180, 360), (100, 500), (70, 840)])
+def test_workload_sized_programs_reach_the_least_fixpoint(max_vars, max_stmts):
+    for trial in range(12):
+        prog = rand_program(max_vars, max_stmts, seed=12000 + trial)
+        expected = helpers.least_fixpoint(prog)
+        for policy in ("fifo", "lifo"):
+            assert solve(prog, policy=policy) == expected, (trial, policy)
+
+
+# Shapes around the copy-edge cycles that exist before the first pop and are
+# collapsed by the offline pass.
+OFFLINE_SHAPES = {
+    "address-taken scc loaded and stored through": (
+        "a = b\nb = c\nc = a\na = &x\np = &a\np = &w\nq = &b\ns = &c\n"
+        "r = *p\n*q = y\ny = &z\nt = *s\n*s = t\nw = &a"
+    ),
+    "offline group grown by a lazy cycle": "a = b\nb = a\nc = a\np = &c\na = *p\na = &x",
+    "self copy inside an scc": "a = b\nb = a\na = a\nb = &x\nc = *a\nx = &c\nc = b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFFLINE_SHAPES))
+def test_offline_shapes_reach_the_least_fixpoint(name):
+    prog = parse_program(OFFLINE_SHAPES[name])
+    expected = helpers.least_fixpoint(prog)
+    for policy in ("fifo", "lifo"):
+        assert solve(prog, policy=policy) == expected, (name, policy)
+
+
+def test_offline_pass_counts_each_component_as_one_check():
+    # the ring a -> b -> c -> d -> a exists before the first pop: one
+    # component, three variables merged, and one pop each for the ring and x
+    stats = {}
+    solve(parse_program(CYCLE_SHAPES["plain copy ring"]), stats=stats)
+    assert stats == {"pops": 2, "copy_edges": 0, "cycle_checks": 1, "merged": 3}
+    # a ring with empty sets is never popped, so only the offline pass sees it
+    stats = {}
+    solve(parse_program("a = b\nb = a\nc = &a"), stats=stats)
+    assert stats["merged"] == 1 and stats["cycle_checks"] == 1
+    # c joins the offline group {a, b} once the load adds the edge c -> a
+    stats = {}
+    solve(parse_program(OFFLINE_SHAPES["offline group grown by a lazy cycle"]), stats=stats)
+    assert stats["merged"] == 2 and stats["cycle_checks"] >= 2
+
+
+def test_copy_sccs_match_mutual_reachability():
+    rng = random.Random(11)
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        succ = [set() for _ in range(n)]
+        for _ in range(rng.randint(0, 3 * n)):
+            succ[rng.randrange(n)].add(rng.randrange(n))
+        reach = [{u} for u in range(n)]
+        for _ in range(n):
+            for u in range(n):
+                reach[u] = reach[u].union(*(reach[w] for w in succ[u]))
+        expected = {frozenset(w for w in reach[u] if u in reach[w]) for u in range(n)}
+        found = [frozenset(c) for c in _copy_sccs(succ)]
+        assert len(found) == len(set(found)), trial
+        assert set(found) == {c for c in expected if len(c) > 1}, trial

@@ -341,3 +341,16 @@ def test_reach_stats_list_every_grammar_symbol_for_both_queries(workdir, capsys)
     assert summaries[0].keys() == summaries[1].keys() == {"X", "Y", "a", "b"}
     assert summaries[0]["Y"] == summaries[1]["Y"] == 0
     assert summaries[0]["X"] == 1
+
+
+def test_reach_stats_for_an_empty_path_list_the_all_pairs_keys(workdir, capsys):
+    # s = t on a nullable start answers before the engine runs; its counters
+    # still name every grammar symbol and helper, each with count 0
+    graph = workdir / "g.lg"
+    graph.write_text("nodes 3\n0 [1 1\n1 ]1 2\n")
+    summaries = []
+    for query, code in (([], 0), (["--source", "1", "--target", "1"], 0)):
+        assert main(["reach", str(graph), "--grammar", "d1", "--stats", *query]) == code
+        summaries.append(json.loads(capsys.readouterr().err)["summaries"])
+    assert summaries[1].keys() == summaries[0].keys()
+    assert set(summaries[1].values()) == {0} and summaries[0]["D1"] > 0
