@@ -122,7 +122,7 @@ def solve(
 
     variables = program.variables
     nvars = len(variables)
-    index = {v.name: i for i, v in enumerate(variables)}
+    index = {v: i for i, v in enumerate(variables)}
 
     pt = [0] * nvars                                        # points-to bitset
     succ: list[set[int]] = [set() for _ in range(nvars)]    # copy edges n -> z
@@ -132,8 +132,8 @@ def solve(
         StatementKind.ADDRESS_OF, StatementKind.ASSIGN, StatementKind.ASSIGN_STAR
     )
     for kind, lhs, rhs in program.statements:
-        a = index[lhs.name]
-        b = index[rhs.name]
+        a = index[lhs]
+        b = index[rhs]
         if kind is address_of:
             pt[a] |= 1 << b
         elif kind is assign:

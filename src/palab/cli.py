@@ -15,12 +15,13 @@ import json
 import os
 import sys
 import time
+from itertools import compress
 
 from . import crosscheck as cc
 from . import textio
 from .andersen import solve
 from .cfl import all_pairs, builtin_grammar, st_query
-from .model import AnalysisError, ParseError, StatementProfile, is_count
+from .model import AnalysisError, ParseError, StatementProfile, _selector, is_count
 from .reductions import bmm_to_d1, d1_to_program, triangle_to_st_d1
 
 
@@ -101,11 +102,15 @@ def cmd_reach(args) -> int:
     summaries = all_pairs(graph, grammar, stats=stats)
     _print_stats(stats)
     names = [graph.name_of(v) for v in range(graph.node_count)]
-    sys.stdout.write("".join(
-        f"{names[u]} -> {names[v]}\n"
-        for u, v in summaries.ordered_pairs(grammar.start)
-        if u != v or args.include_self
-    ))
+    ends = [f"{name}\n" for name in names]
+    text = []
+    for u, row in enumerate(dict(summaries.by_symbol).get(grammar.start, ())):
+        if not args.include_self:
+            row &= ~(1 << u)
+        if row:  # one line per set bit v: "<u> -> <v>"
+            head = f"{names[u]} -> "
+            text.append(head + head.join(compress(ends, _selector(row))))
+    sys.stdout.write("".join(text))
     return 0
 
 

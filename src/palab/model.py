@@ -80,26 +80,41 @@ def _ones(bits: int) -> list[int]:
     return found
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selector(bits: int) -> bytes:
+    """Byte v is 1 iff bit v of a bitset is set: the `itertools.compress`
+    selector of the set, built by C calls only."""
+    return format(bits, "b").encode().translate(_BIT_BYTES)[::-1]
+
+
 # ---------------------------------------------------------------------------
 # variables and statements
 
-# letters/digits/underscore, then optional trailing apostrophes (primed names)
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*\Z")
+# letters/digits/underscore, then optional trailing apostrophes (primed
+# names); the `.pa` parser builds its statement regex from this pattern and
+# trusts the names it matches
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*'*"
+_IDENT_RE = re.compile(IDENT + r"\Z")
 
 
 def is_identifier(name: str) -> bool:
     return bool(_IDENT_RE.match(name))
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
-    """A program variable. Equal names denote the same variable."""
+class Variable(NamedTuple("Variable", [("name", str)])):
+    """A program variable. Equal names denote the same variable.
 
-    name: str
+    A one-field named tuple: it compares, orders and hashes as the tuple
+    `(name,)`, all in C, and `str` gives the name."""
 
-    def __post_init__(self):
-        if not is_identifier(self.name):
-            raise ParseError(f"invalid identifier {self.name!r}")
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        if not is_identifier(name):
+            raise ParseError(f"invalid identifier {name!r}")
+        return tuple.__new__(cls, (name,))
 
     def __str__(self) -> str:
         return self.name

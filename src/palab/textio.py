@@ -9,9 +9,11 @@ serializing a parsed canonical text gives the text back.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterable
 
 from .model import (
+    IDENT,
     BooleanMatrix,
     Grammar,
     InvalidNodeError,
@@ -27,11 +29,10 @@ from .model import (
     is_node_id,
 )
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*'*"
 _WS = r"[^\S\n]*"  # whitespace inside one line
 # One normalized statement, groups (lstar, lhs, rop, rhs); a starred lhs
 # admits no right operator, so `*a = &b` fails here and needs no other check.
-_STMT = rf"(\*)?{_WS}({_IDENT}){_WS}=(?(1)|{_WS}([&*])?){_WS}({_IDENT})"
+_STMT = rf"(\*)?{_WS}({IDENT}){_WS}=(?(1)|{_WS}([&*])?){_WS}({IDENT})"
 _STMT_RE = re.compile(_STMT + r"\Z")
 # Per line of "\n"-joined text: exactly one statement, or the whole line as
 # group 5 for the chunk splitter (blank, comment, `;`, or an error).
@@ -71,15 +72,19 @@ def parse_program(text: str) -> Program:
     One regex scan over the text's lines (any `str.splitlines` line end)
     matches the common line of exactly one statement; other lines go
     through the chunk splitter, which raises `ParseError` with the line
-    number on the first chunk that is not a statement."""
+    number on the first chunk that is not a statement. The scan's names
+    match `IDENT` already, so it builds its variables and statements with
+    `tuple.__new__`, skipping the constructors and `Variable`'s name
+    check."""
     statements = []
     interned: dict[str, Variable] = {}  # one Variable per name
+    new = tuple.__new__
     lines = _LINE_RE.findall("\n".join(text.splitlines()))
     for lineno, (lstar, lhs, rop, rhs, rest) in enumerate(lines, start=1):
         if lhs:
-            a = interned.get(lhs) or interned.setdefault(lhs, Variable(lhs))
-            b = interned.get(rhs) or interned.setdefault(rhs, Variable(rhs))
-            statements.append(Statement(_KIND[lstar][rop], a, b))
+            a = interned.get(lhs) or interned.setdefault(lhs, new(Variable, (lhs,)))
+            b = interned.get(rhs) or interned.setdefault(rhs, new(Variable, (rhs,)))
+            statements.append(new(Statement, (_KIND[lstar][rop], a, b)))
         elif rest:
             for lstar, lhs, rop, rhs in _chunks(rest, lineno):
                 a = interned.get(lhs) or interned.setdefault(lhs, Variable(lhs))
@@ -278,11 +283,12 @@ def serialize_grammar(grammar: Grammar) -> str:
 def serialize_solution(solution: PointsToSolution) -> str:
     lines = []
     rendered: dict[int, str] = {}  # id of a points-to set -> its member list
-    for var in sorted(solution.pt, key=lambda v: v.name):
+    name = attrgetter("name")
+    for var in sorted(solution.pt, key=name):
         targets = solution.pt[var]
         members = rendered.get(id(targets))
         if members is None:
-            members = rendered[id(targets)] = ", ".join(sorted(w.name for w in targets))
+            members = rendered[id(targets)] = ", ".join(sorted(map(name, targets)))
         lines.append(f"pt({var.name}) = {{ {members} }}" if members else f"pt({var.name}) = {{ }}")
     return "".join(line + "\n" for line in lines)
 

@@ -1,10 +1,10 @@
-"""Pinned output bytes of the reductions, `palab gen` and the crosscheck
-suites.
+"""Pinned output bytes of the reductions, `palab gen`, the crosscheck
+suites and the answers that `palab reach` and `palab analyze` print.
 
 Each entry is the sha256 of a deterministic text; a refactor of the
-reductions, the generators or the check_* suites must leave every digest as
-it is. After an intended output change, re-pin the entries the failing
-assertion lists.
+reductions, the generators, the check_* suites or the CLI's rendering must
+leave every digest as it is. After an intended output change, re-pin the
+entries the failing assertion lists.
 """
 
 import hashlib
@@ -18,11 +18,13 @@ from palab.crosscheck import (
     check_pt_prime,
     check_triangle_chain,
     rand_dyck_graph,
+    rand_program,
     rand_simple_graph,
     worked_dyck_graph,
     worked_triangle_graph,
 )
 from palab.model import StatementProfile
+from palab.peg import build_peg
 from palab.reductions import d1_to_program, triangle_to_st_d1
 from palab.textio import serialize_graph, serialize_map, serialize_program
 
@@ -94,6 +96,17 @@ GOLDEN = {
     "crosscheck/inputs": "8556dd03c71ef9d324ae78ae844ddfc78baeaa0aefd22e3ac8df9a6ccd1c69c1",
 }
 
+# stdout of `palab reach` and `palab analyze`, the answers as printed
+CLI_GOLDEN = {
+    "reach/g/d1": "593b13aa121b4d73bda931abe0f76c5fb91066fb97b063cbdbb552278923b3c6",
+    "reach/g/d1--include-self": "0092f8234568655458952025d179015924cc67830145a6f32f4218c368fcf853",
+    "reach/t/d1": "deaf78557bef82f4d3370f76f4378dd183b0735c9637972dc73a8bd4421a8da5",
+    "reach/t/d1--include-self": "f9ba8a74b39fed533c5c844269a9a893e53e911e7d0963359d75d66bbb88a538",
+    "reach/peg/pt": "9fb57e3f127266880ab5674408cce10e6326510e2f428fa1ebf926b63b1670bf",
+    "analyze/p1": "c99b8e0907eecdeee3eee57b1a5e3a59bd936779841e131cd55eacb005e91f02",
+    "analyze/p3": "71cc52115f943d68b00f388c4e20e2653d29bd5a035efdeda83df227f09ea955",
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -153,3 +166,32 @@ def _digests(capsys, monkeypatch) -> dict[str, str]:
 
 def test_golden_bytes(capsys, monkeypatch):
     assert _digests(capsys, monkeypatch) == GOLDEN
+
+
+def test_golden_cli_stdout(tmp_path, capsys):
+    """`reach` on an unnamed and a named graph, each with and without
+    `--include-self`, `reach --grammar pt` on a PEG, and `analyze`."""
+
+    def run(*argv: str) -> str:
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    def path(name: str) -> str:
+        return str(tmp_path / name)
+
+    run("gen", "dyck-graph", "-n", "40", "-m", "80", "--seed", "1", "-o", path("g.lg"))
+    run("gen", "simple-graph", "-n", "8", "--seed", "2", "-o", path("s.lg"))
+    run("reduce", "triangle-to-d1", path("s.lg"), "-o", path("t.lg"))
+    peg = build_peg(rand_program(30, 90, 5)).graph
+    (tmp_path / "peg.lg").write_text(serialize_graph(peg))
+    run("gen", "program", "-n", "60", "--stmts", "600", "--seed", "1", "-o", path("p1.pa"))
+    run("gen", "program", "-n", "70", "--stmts", "840", "--seed", "3", "-o", path("p3.pa"))
+    out = {}
+    for graph in ("g", "t"):
+        for flags in ((), ("--include-self",)):
+            key = f"reach/{graph}/d1{''.join(flags)}"
+            out[key] = _sha(run("reach", path(f"{graph}.lg"), "--grammar", "d1", *flags))
+    out["reach/peg/pt"] = _sha(run("reach", path("peg.lg"), "--grammar", "pt"))
+    for prog in ("p1", "p3"):
+        out[f"analyze/{prog}"] = _sha(run("analyze", path(f"{prog}.pa")))
+    assert out == CLI_GOLDEN

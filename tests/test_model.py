@@ -1,3 +1,6 @@
+import pickle
+from itertools import compress
+
 import pytest
 
 from palab.model import (
@@ -14,6 +17,8 @@ from palab.model import (
     StatementKind,
     StatementProfile,
     Variable,
+    _ones,
+    _selector,
 )
 from palab.andersen import solve
 from palab.textio import parse_program, serialize_program
@@ -28,10 +33,44 @@ def test_variable_interning_by_value():
     assert len({Variable("x"), Variable("x"), Variable("y")}) == 2
 
 
+def test_variable_is_a_value_ordered_by_name():
+    assert hash(Variable("a")) == hash(Variable("a"))
+    assert hash(Variable("v'")) == hash(Variable("v'"))
+    names = ["b", "a'", "a"]
+    assert [v.name for v in sorted(map(Variable, names))] == ["a", "a'", "b"]
+    assert Variable("a") < Variable("a'") < Variable("b")
+    assert repr(Variable("a")) == "Variable(name='a')"
+    assert Variable(name="a") == Variable("a") and str(Variable(name="a")) == "a"
+    for v in (Variable("x"), Variable("x''")):
+        back = pickle.loads(pickle.dumps(v))
+        assert type(back) is Variable and back == v and hash(back) == hash(v)
+
+
+def test_parsed_variables_are_interned_variables():
+    # two canonical lines (the one-scan path) and a `;` line (the chunk path)
+    prog = parse_program("a = &b\nb' = *a\n*a = b'; c = b\n")
+    assert [v.name for v in prog.variables] == ["a", "b", "b'", "c"]
+    for v in prog.variables:
+        assert type(v) is Variable and v == Variable(v.name)
+        assert hash(v) == hash(Variable(v.name))
+    assert all(type(st) is Statement for st in prog.statements)
+    one_per_name = {v.name: v for v in prog.variables}
+    for st in prog.statements:
+        assert st.lhs is one_per_name[st.lhs.name] and st.rhs is one_per_name[st.rhs.name]
+
+
 @pytest.mark.parametrize("bad", ["", "1a", "a-b", "a'b", "*a", "&a"])
 def test_variable_rejects_non_identifiers(bad):
     with pytest.raises(ParseError):
         Variable(bad)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 0b1011, 1 << 70, (1 << 130) - 1, 0x5A5A << 40])
+def test_bitset_walks_agree(bits):
+    width = bits.bit_length() + 3
+    expected = [v for v in range(width) if bits >> v & 1]
+    assert _ones(bits) == expected
+    assert list(compress(range(width), _selector(bits))) == expected
 
 
 def test_statement_surface_forms():

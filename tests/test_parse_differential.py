@@ -39,6 +39,8 @@ def _outcome(parse, text):
 @example("a = b\x0b\x0bc = d\x85*e = f\u2028g = &h\n")
 @example("a = b\n\n  *x = &y  \n")
 @example("a = b\xa0;\u3000c = *d\x1f")
+@example("a = &b\nc = a\n*c = b\nd = *c\n")  # the four kinds on canonical lines
+@example("x' = &y''\ny'' = x'\n*x' = y''\nx'' = *x'")  # primed names
 def test_one_scan_parser_matches_reference(text):
     got = _outcome(parse_program, text)
     assert got == _outcome(helpers.reference_parse_program, text)
