@@ -260,8 +260,12 @@ class SummarySet:
             (u, sym, v) for sym, _ in self.by_symbol for u, v in self.ordered_pairs(sym)
         )
 
+    def rows(self, symbol: str) -> tuple[int, ...]:
+        """The bitset rows of one symbol, indexed by source."""
+        return self._rows.get(symbol, ())
+
     def holds(self, src: int, symbol: str, dst: int) -> bool:
-        rows = self._rows.get(symbol, ())
+        rows = self.rows(symbol)
         return 0 <= src < len(rows) and dst >= 0 and bool(rows[src] >> dst & 1)
 
     def pairs(self, symbol: str) -> frozenset[tuple[int, int]]:
@@ -269,7 +273,7 @@ class SummarySet:
 
     def ordered_pairs(self, symbol: str) -> Iterator[tuple[int, int]]:
         """The (source, target) pairs of one symbol in ascending order."""
-        for u, row in enumerate(self._rows.get(symbol, ())):
+        for u, row in enumerate(self.rows(symbol)):
             for v in _ones(row):
                 yield u, v
 

@@ -15,13 +15,12 @@ import json
 import os
 import sys
 import time
-from itertools import compress
 
 from . import crosscheck as cc
 from . import textio
 from .andersen import solve
 from .cfl import all_pairs, builtin_grammar, st_query
-from .model import AnalysisError, ParseError, StatementProfile, _selector, is_count
+from .model import AnalysisError, ParseError, StatementProfile, _select, is_count
 from .reductions import bmm_to_d1, d1_to_program, triangle_to_st_d1
 
 
@@ -104,12 +103,12 @@ def cmd_reach(args) -> int:
     names = [graph.name_of(v) for v in range(graph.node_count)]
     ends = [f"{name}\n" for name in names]
     text = []
-    for u, row in enumerate(dict(summaries.by_symbol).get(grammar.start, ())):
+    for u, row in enumerate(summaries.rows(grammar.start)):
         if not args.include_self:
             row &= ~(1 << u)
         if row:  # one line per set bit v: "<u> -> <v>"
             head = f"{names[u]} -> "
-            text.append(head + head.join(compress(ends, _selector(row))))
+            text.append(head + head.join(_select(ends, row)))
     sys.stdout.write("".join(text))
     return 0
 

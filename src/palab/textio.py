@@ -72,10 +72,8 @@ def parse_program(text: str) -> Program:
     One regex scan over the text's lines (any `str.splitlines` line end)
     matches the common line of exactly one statement; other lines go
     through the chunk splitter, which raises `ParseError` with the line
-    number on the first chunk that is not a statement. The scan's names
-    match `IDENT` already, so it builds its variables and statements with
-    `tuple.__new__`, skipping the constructors and `Variable`'s name
-    check."""
+    number on the first chunk that is not a statement. Names on the scan
+    path matched `IDENT`, so their `Variable`s skip the name check."""
     statements = []
     interned: dict[str, Variable] = {}  # one Variable per name
     new = tuple.__new__

@@ -27,6 +27,14 @@ def test_worked_bracket_graph_start_pairs():
     assert non_self == {(0, 10), (0, 11)}  # x0 -> z2 and x0 -> z3
 
 
+def test_rows_are_the_bitsets_of_the_pairs():
+    summaries = all_pairs(worked_dyck_graph(), D1)
+    rows = summaries.rows("D1")
+    assert {(u, v) for u, row in enumerate(rows) for v in range(row.bit_length()) if row >> v & 1} \
+        == summaries.pairs("D1")
+    assert summaries.rows("no such symbol") == ()
+
+
 def test_every_node_reaches_itself_by_the_empty_path():
     g = worked_dyck_graph()
     summaries = all_pairs(g, D1)

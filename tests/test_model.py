@@ -1,5 +1,4 @@
 import pickle
-from itertools import compress
 
 import pytest
 
@@ -18,7 +17,7 @@ from palab.model import (
     StatementProfile,
     Variable,
     _ones,
-    _selector,
+    _select,
 )
 from palab.andersen import solve
 from palab.textio import parse_program, serialize_program
@@ -63,14 +62,28 @@ def test_parsed_variables_are_interned_variables():
 def test_variable_rejects_non_identifiers(bad):
     with pytest.raises(ParseError):
         Variable(bad)
+    with pytest.raises(ParseError):
+        Variable("a")._replace(name=bad)
+    with pytest.raises(ParseError):
+        Variable._make([bad])
 
 
-@pytest.mark.parametrize("bits", [0, 1, 0b1011, 1 << 70, (1 << 130) - 1, 0x5A5A << 40])
+def test_variable_make_and_replace_give_variables():
+    b = Variable("a")._replace(name="b'")
+    assert type(b) is Variable and b == Variable("b'")
+    assert type(Variable._make(["c"])) is Variable
+    # the documented tuple semantics: a Variable equals the plain tuple of its name
+    assert Variable("a") == ("a",) and hash(Variable("a")) == hash(("a",))
+
+
+@pytest.mark.parametrize(
+    "bits", [0, 1, 0b1011, 1 << 70, (1 << 130) - 1, 0x5A5A << 40, 1 << 2000 | 1 << 3 | 1]
+)
 def test_bitset_walks_agree(bits):
     width = bits.bit_length() + 3
     expected = [v for v in range(width) if bits >> v & 1]
     assert _ones(bits) == expected
-    assert list(compress(range(width), _selector(bits))) == expected
+    assert list(_select(range(width), bits)) == expected
 
 
 def test_statement_surface_forms():
