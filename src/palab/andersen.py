@@ -23,8 +23,9 @@ Points-to sets are bitsets indexed by variable id.
      gained an edge flows into every target; later growth travels as deltas.
    * Copy edges move the snapshot, not the whole set, to each successor.
    * Lazy cycle detection (Hardekopf & Lin, PLDI 2007): when propagation
-     along x -> z leaves pt(z) == pt(x) and that edge was never checked, a
-     depth-first search from z looks for the copy-edge paths back to x.
+     along x -> z leaves pt(z) == pt(x) and that edge was never checked, the
+     offline phase's Tarjan pass, rooted at z, finds z's copy-edge component;
+     it is a cycle through x -> z when it holds x.
 
 Both phases merge a cycle the same way: its nodes' sets are equal at the
 fixed point, so the one that stands for the most variables takes over the
@@ -38,67 +39,51 @@ worklist policy or statement order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .model import PointsToSolution, Program, StatementKind, Variable, _ones
 
 
-def _cycle_through(x: int, z: int, succ: list[set[int]], rep: list[int]):
-    """Nodes on copy-edge paths z ->* x that one depth-first search from z
-    finds, x included; empty when x is not reached. Every such node shares
-    a cycle with x through the edge x -> z."""
-    reach = {x}
-    seen = {x, z}
-    stack = [(z, iter(succ[z]))]
-    while stack:
-        u, edges = stack[-1]
-        for w in edges:
-            w = rep[w]
-            if w not in seen:
-                seen.add(w)
-                stack.append((w, iter(succ[w])))
-                break
-            if w in reach:
-                reach.add(u)
-        else:
-            stack.pop()
-            if u in reach and stack:
-                reach.add(stack[-1][0])
-    return reach if z in reach else ()
-
-
-def _copy_sccs(succ: list[set[int]]) -> list[list[int]]:
-    """Copy-edge cycles (components of more than one node), by one iterative
-    Tarjan pass. low[u] is 0 until u is visited, then its 1-based stack depth
-    lowered to the least one it reaches, then len(succ) + 1 once closed."""
+def _copy_sccs(
+    succ: list[set[int]], rep: Sequence[int] = (), roots: Iterable[int] = ()
+) -> list[list[int]]:
+    """Copy-edge cycles (components of more than one node) reachable from
+    `roots` (default: every node), by one iterative Tarjan pass that reads
+    edge targets through `rep` (default: as they are). Each component comes
+    after every one that it reaches. low[u] is 0 until u is visited, then its
+    1-based stack depth lowered to the least one it reaches, then
+    len(succ) + 1 once closed."""
     done = len(succ) + 1
     low = [0] * len(succ)
+    step = (rep or range(len(succ))).__getitem__
     found = []
-    for root in range(len(succ)):
+    for root in roots or range(len(succ)):
         if low[root] or not succ[root]:
             continue
         stack = [root]  # every earlier component is closed
         low[root] = 1
-        calls = [(root, 1, iter(succ[root]))]
+        calls = [(root, 1, map(step, succ[root]))]
         while calls:
             u, mark, edges = calls[-1]
             for w in edges:
                 if not low[w]:
                     stack.append(w)
                     low[w] = len(stack)
-                    calls.append((w, len(stack), iter(succ[w])))
+                    calls.append((w, len(stack), map(step, succ[w])))
                     break
                 if low[w] < low[u]:
                     low[u] = low[w]
             else:
                 calls.pop()
-                if low[u] == mark:
+                if low[u] == mark == len(stack):  # a component of one node
+                    low[u] = done
+                    stack.pop()
+                elif low[u] == mark:
                     component = stack[mark - 1:]
                     del stack[mark - 1:]
                     for w in component:
                         low[w] = done
-                    if len(component) > 1:
-                        found.append(component)
+                    found.append(component)
                 elif low[u] < low[calls[-1][0]]:
                     low[calls[-1][0]] = low[u]
     return found
@@ -113,7 +98,7 @@ def solve(
     the identical solution, which the test suite pins. When `stats` is a
     dict, it receives the counters `pops` (nonempty deltas processed),
     `copy_edges` (edges added by complex constraints), `cycle_checks`
-    (initial copy-edge SCCs collapsed, plus depth-first searches for a
+    (initial copy-edge SCCs collapsed, plus Tarjan passes rooted at z for a
     lazily found cycle) and `merged` (variables collapsed into another
     representative, by either phase).
     """
@@ -263,9 +248,9 @@ def solve(
             x, z = rep[n], rep[z]
             if x != z:
                 checks += 1
-                cycle = _cycle_through(x, z, succ, rep)
-                if cycle:
-                    collapse(cycle)
+                found = _copy_sccs(succ, rep, (z,))
+                if found and x in found[-1]:  # x can only share z's component
+                    collapse(found[-1])
         candidates.clear()
 
     if stats is not None:

@@ -266,10 +266,7 @@ def main(argv=None) -> int:
         args.seed = _default_seed()
     try:
         return args.func(args)
-    except AnalysisError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (AnalysisError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

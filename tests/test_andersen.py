@@ -210,3 +210,49 @@ def test_copy_sccs_match_mutual_reachability():
         found = [frozenset(c) for c in _copy_sccs(succ)]
         assert len(found) == len(set(found)), trial
         assert set(found) == {c for c in expected if len(c) > 1}, trial
+
+
+def test_whole_copy_component_is_collapsed():
+    # v0, v2 and v3 form one copy-edge component once the load and the store
+    # add their edges, and v1 joins it later; the lazy check must merge the
+    # whole component, not only the nodes on paths back to the source of the
+    # edge it checks
+    prog = parse_program("v0 = *v3\nv2 = &v1\n*v0 = v0\nv3 = &v2\nv3 = &v3")
+    expected = helpers.least_fixpoint(prog)
+    for policy in ("fifo", "lifo"):
+        stats = {}
+        assert solve(prog, policy=policy, stats=stats) == expected, policy
+        assert stats["merged"] == 3, (policy, stats)
+
+
+def test_rooted_copy_sccs_return_the_components_reachable_from_the_root():
+    rng = random.Random(23)
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        succ = [set() for _ in range(n)]
+        for _ in range(rng.randint(0, 3 * n)):
+            succ[rng.randrange(n)].add(rng.randrange(n))
+        rep = list(range(n))
+        if trial % 2 and n > 2:
+            # contract a group into r as the solver does: r takes over the
+            # members' edges, a merged-away member keeps none, and edges into
+            # members stay stale until read through rep
+            group = rng.sample(range(n), rng.randint(2, n - 1))
+            r = group[0]
+            for o in group[1:]:
+                rep[o] = r
+                succ[r] |= succ[o]
+                succ[o] = set()
+        nodes = [u for u in range(n) if rep[u] == u]
+        reach = {u: {u} for u in nodes}
+        for _ in range(n):
+            for u in nodes:
+                reach[u] = reach[u].union(*(reach[rep[w]] for w in succ[u]))
+        component = {u: frozenset(w for w in reach[u] if u in reach[w]) for u in nodes}
+        z = rng.choice(nodes)
+        expected = {component[u] for u in reach[z] if len(component[u]) > 1}
+        found = [frozenset(c) for c in _copy_sccs(succ, rep, (z,))]
+        assert len(found) == len(set(found)), trial
+        assert set(found) == expected, trial
+        if len(component[z]) > 1:
+            assert found[-1] == component[z], trial
