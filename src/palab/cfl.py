@@ -389,17 +389,6 @@ def _closure(
     return out, hit
 
 
-def _saturate(graph: LabeledDigraph, norm: NormalizedGrammar):
-    """The engine's raw output as (summary triples (u, symbol code, v),
-    symbol codes, hit), helpers included, for experiments that compare
-    binarizations below the `all_pairs` projection."""
-    out, hit = _closure(graph, norm)
-    triples = {
-        (u, c, v) for c, rows in enumerate(out) for u, row in enumerate(rows) for v in _ones(row)
-    }
-    return triples, norm.codes, hit
-
-
 def all_pairs(
     graph: LabeledDigraph, grammar: Grammar, stats: Optional[dict] = None
 ) -> SummarySet:

@@ -58,10 +58,6 @@ def _load_grammar(name_or_path: str):
     return builtin_grammar(name_or_path)
 
 
-def _profile(args) -> StatementProfile:
-    return StatementProfile.from_name(args.profile)
-
-
 def _print_stats(stats):
     """An engine's counters as one JSON line on stderr (`--stats`)."""
     if stats is not None:
@@ -126,17 +122,17 @@ def cmd_reduce(args) -> int:
         if len(args.inputs) != 1:
             raise AnalysisError("d1-to-pa needs one graph file")
         graph = textio.parse_graph(_read(args.inputs[0]))
-        program, rmap = d1_to_program(graph, _profile(args), args.prune_isolated)
+        program, rmap = d1_to_program(
+            graph, StatementProfile.from_name(args.profile), args.prune_isolated
+        )
         _write(args.output, textio.serialize_program(program))
-    elif args.variant == "triangle-to-d1":
+    else:  # triangle-to-d1; argparse's `choices` screens the variant
         if len(args.inputs) != 1:
             raise AnalysisError("triangle-to-d1 needs one graph file")
         graph = textio.parse_graph(_read(args.inputs[0]))
         inst = triangle_to_st_d1(graph, args.directed)
         _write(args.output, textio.serialize_graph(inst.graph))
         rmap = inst.map
-    else:  # unreachable; argparse screens variants
-        raise AnalysisError(f"unknown variant {args.variant}")
     if args.map:
         _write(args.map, textio.serialize_map(rmap))
     return 0
@@ -144,7 +140,9 @@ def cmd_reduce(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     if args.suite == "bmm":
-        report = cc.check_bmm_chain(args.max_n, args.trials, args.seed, _profile(args))
+        report = cc.check_bmm_chain(
+            args.max_n, args.trials, args.seed, StatementProfile.from_name(args.profile)
+        )
     elif args.suite == "peg":
         report = cc.check_peg_equivalence(args.trials, args.seed)
     elif args.suite == "pt-prime":

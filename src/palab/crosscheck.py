@@ -58,12 +58,6 @@ class CheckReport:
             lines.append(f"MISMATCH seed={seed} instance={instance} expected={expected} got={got}")
         return "\n".join(lines)
 
-    def kv_dump(self) -> str:
-        return (
-            f"suite\t{self.suite}\ntrials\t{self.trials}\n"
-            f"mismatches\t{len(self.mismatches)}\npassed\t{int(self.passed)}\n"
-        )
-
 
 # ---------------------------------------------------------------------------
 # oracles

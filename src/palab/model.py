@@ -141,6 +141,16 @@ class StatementKind(enum.Enum):
     STAR_ASSIGN = "star_assign" # *a = b
 
 
+# kind -> (lhs prefix, rhs prefix): each kind's one spelling in the `.pa`
+# syntax, `<lhs prefix><lhs> = <rhs prefix><rhs>`; the `.pa` parser reads it too
+SPELLING = {
+    StatementKind.ADDRESS_OF: ("", "&"),
+    StatementKind.ASSIGN: ("", ""),
+    StatementKind.ASSIGN_STAR: ("", "*"),
+    StatementKind.STAR_ASSIGN: ("*", ""),
+}
+
+
 class Statement(NamedTuple):
     """One normalized pointer statement (single level of dereferencing).
 
@@ -152,14 +162,8 @@ class Statement(NamedTuple):
     rhs: Variable
 
     def __str__(self) -> str:
-        k = self.kind
-        if k is StatementKind.ADDRESS_OF:
-            return f"{self.lhs} = &{self.rhs}"
-        if k is StatementKind.ASSIGN:
-            return f"{self.lhs} = {self.rhs}"
-        if k is StatementKind.ASSIGN_STAR:
-            return f"{self.lhs} = *{self.rhs}"
-        return f"*{self.lhs} = {self.rhs}"
+        lstar, rop = SPELLING[self.kind]
+        return f"{lstar}{self.lhs.name} = {rop}{self.rhs.name}"
 
 
 @dataclass(frozen=True)
@@ -384,13 +388,10 @@ _PROFILE_GADGETS = {
 }
 
 
-def _temp_count(gadget) -> int:
-    return len({slot for _, lhs, rhs in gadget for slot in (lhs, rhs) if isinstance(slot, int)})
-
-
 class StatementProfile(enum.Enum):
     """Which statement kinds (besides the mandatory address-of) a reduced
-    program may use; `gadgets` gives the node and edge gadget shapes."""
+    program may use. A profile is its `gadgets` table: its kinds are the
+    kinds of its gadgets' statements, and nothing else records them."""
 
     CASE1 = "case1"  # star-assign + assign-star + assign
     CASE2 = "case2"  # star-assign + assign
@@ -403,24 +404,6 @@ class StatementProfile(enum.Enum):
     def gadgets(self) -> tuple:
         """(node gadget, open-edge gadget, close-edge gadget) templates."""
         return _PROFILE_GADGETS[self.value]
-
-    @property
-    def allowed_kinds(self) -> frozenset[StatementKind]:
-        return frozenset(kind for gadget in self.gadgets for kind, _, _ in gadget)
-
-    @property
-    def edges_via_star_assign(self) -> bool:
-        """True if graph edges are encoded with star-assign gadgets; the
-        remaining profiles encode them with assign-star/address-of pairs."""
-        return any(kind is StatementKind.STAR_ASSIGN for kind, _, _ in self.gadgets[1])
-
-    @property
-    def temps_per_node(self) -> int:
-        return _temp_count(self.gadgets[0])
-
-    @property
-    def temps_per_edge(self) -> int:
-        return _temp_count(self.gadgets[1])
 
     @staticmethod
     def from_name(name: str) -> "StatementProfile":

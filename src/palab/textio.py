@@ -4,6 +4,12 @@ matrices (.bm), grammars (.cfg), solutions (.sol), provenance maps (.map).
 `#` starts a comment in every format, and a line ends at any
 `str.splitlines` line end. Parsing a serialized value gives the value back;
 serializing a parsed canonical text gives the text back.
+
+In `.cfg` text a line whose second token is `->` is a production, even when
+its first token is `start`, `terminals` or `nonterminals`. Each grammar
+symbol is one token, so `serialize_grammar` rejects the symbols the text
+cannot carry: `eps` (the empty body), `->`, the empty name, and any name
+containing `#` or whitespace.
 """
 
 from __future__ import annotations
@@ -14,8 +20,10 @@ from typing import Iterable
 
 from .model import (
     IDENT,
+    SPELLING,
     BooleanMatrix,
     Grammar,
+    GrammarError,
     InvalidNodeError,
     LabeledDigraph,
     ParseError,
@@ -23,7 +31,6 @@ from .model import (
     Program,
     ReductionMap,
     Statement,
-    StatementKind,
     Variable,
     is_count,
     is_node_id,
@@ -37,9 +44,9 @@ _STMT_RE = re.compile(_STMT + r"\Z")
 # Per line of "\n"-joined text: exactly one statement, or the whole line as
 # group 5 for the chunk splitter (blank, comment, `;`, or an error).
 _LINE_RE = re.compile(rf"^(?:{_WS}{_STMT}{_WS}$|(.*))", re.M)
-_KIND = {  # (lstar, rop) -> kind, nested by lstar
-    "": {"&": StatementKind.ADDRESS_OF, "": StatementKind.ASSIGN, "*": StatementKind.ASSIGN_STAR},
-    "*": {"": StatementKind.STAR_ASSIGN},
+_KIND = {  # lstar -> rop -> kind: `SPELLING` read backwards
+    lstar: {rop: kind for kind, (star, rop) in SPELLING.items() if star == lstar}
+    for lstar, _ in SPELLING.values()
 }
 
 
@@ -244,7 +251,11 @@ def parse_grammar(text: str) -> Grammar:
     productions = []
     for lineno, line in _content_lines(text):
         parts = line.split()
-        if parts[0] == "start":
+        if len(parts) >= 2 and parts[1] == "->":
+            rhs = tuple(sym for sym in parts[2:] if sym != "eps")
+            productions.append((parts[0], rhs))
+            nonterminals.add(parts[0])
+        elif parts[0] == "start":
             if len(parts) != 2:
                 raise ParseError("expected `start <symbol>`", lineno)
             start = parts[1]
@@ -252,10 +263,6 @@ def parse_grammar(text: str) -> Grammar:
             terminals.update(parts[1:])
         elif parts[0] == "nonterminals":
             nonterminals.update(parts[1:])
-        elif len(parts) >= 2 and parts[1] == "->":
-            rhs = tuple(sym for sym in parts[2:] if sym != "eps")
-            productions.append((parts[0], rhs))
-            nonterminals.add(parts[0])
         else:
             raise ParseError(f"unrecognized grammar line: {line!r}", lineno)
     if start is None:
@@ -265,6 +272,10 @@ def parse_grammar(text: str) -> Grammar:
 
 
 def serialize_grammar(grammar: Grammar) -> str:
+    """Raises `GrammarError` for a symbol that `.cfg` text cannot carry."""
+    for sym in sorted(grammar.terminals | grammar.nonterminals):
+        if sym in ("eps", "->") or "#" in sym or sym.split() != [sym]:
+            raise GrammarError(f"symbol {sym!r} cannot be written as .cfg text")
     lines = [
         "start " + grammar.start,
         "terminals " + " ".join(sorted(grammar.terminals)),

@@ -12,8 +12,8 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 
-from palab.cfl import _first_sets, _nullable_closure, derives
-from palab.crosscheck import worked_dyck_graph
+from palab.cfl import NormalizedGrammar, _closure, _first_sets, _nullable_closure, derives
+from palab.crosscheck import CheckReport, worked_dyck_graph
 from palab.model import (
     Grammar,
     LabeledDigraph,
@@ -22,7 +22,9 @@ from palab.model import (
     Program,
     Statement,
     StatementKind,
+    StatementProfile,
     Variable,
+    _ones,
 )
 
 EXAMPLE_PROGRAM_TEXT = "a = &b\nb = &d\nc = *a\n"
@@ -152,6 +154,49 @@ def reference_follow_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
             if tail_nullable:
                 acc |= follow_nt[lhs]
     return {t: frozenset(ws) for t, ws in result.items()}
+
+
+def saturate(graph: LabeledDigraph, norm: NormalizedGrammar):
+    """The engine's raw output as (summary triples (u, symbol code, v),
+    symbol codes, hit), helpers included, for experiments that compare
+    binarizations below the `all_pairs` projection."""
+    out, hit = _closure(graph, norm)
+    triples = {
+        (u, c, v) for c, rows in enumerate(out) for u, row in enumerate(rows) for v in _ones(row)
+    }
+    return triples, norm.codes, hit
+
+
+def kv_dump(report: CheckReport) -> str:
+    """A suite report's fields as tab-separated `key value` lines, no `elapsed`."""
+    return (
+        f"suite\t{report.suite}\ntrials\t{report.trials}\n"
+        f"mismatches\t{len(report.mismatches)}\npassed\t{int(report.passed)}\n"
+    )
+
+
+# Views of a profile's `gadgets` table, for criterion 03's size formulas.
+
+def allowed_kinds(profile: StatementProfile) -> frozenset[StatementKind]:
+    return frozenset(kind for gadget in profile.gadgets for kind, _, _ in gadget)
+
+
+def edges_via_star_assign(profile: StatementProfile) -> bool:
+    """True if graph edges are encoded with star-assign gadgets; the
+    remaining profiles encode them with assign-star/address-of pairs."""
+    return any(kind is StatementKind.STAR_ASSIGN for kind, _, _ in profile.gadgets[1])
+
+
+def _temp_count(gadget) -> int:
+    return len({slot for _, lhs, rhs in gadget for slot in (lhs, rhs) if isinstance(slot, int)})
+
+
+def temps_per_node(profile: StatementProfile) -> int:
+    return _temp_count(profile.gadgets[0])
+
+
+def temps_per_edge(profile: StatementProfile) -> int:
+    return _temp_count(profile.gadgets[1])
 
 
 VarPair = tuple[Variable, Variable]

@@ -104,12 +104,10 @@ def test_saturation_monotone_and_deterministic():
 
 def test_binarization_order_does_not_change_summaries():
     peg = build_peg(parse_program(helpers.REDUCED_PROGRAM_TEXT))
-    from palab.cfl import _saturate  # engine access for the order experiment
-
     results = []
     for assoc in ("right", "left"):
         norm = normalize(PT, assoc=assoc)
-        seen, symbols, _ = _saturate(peg.graph, norm)
+        seen, symbols, _ = helpers.saturate(peg.graph, norm)
         names = {c: s for s, c in symbols.items()}
         keep = PT.terminals | PT.nonterminals
         results.append({(u, names[x], v) for u, x, v in seen if names[x] in keep})
@@ -209,15 +207,13 @@ def _reference_cases():
 
 
 def test_engine_matches_reference_saturation():
-    from palab.cfl import _saturate  # engine access below the projection
-
     for trial, (name, g, grammar) in enumerate(_reference_cases()):
         expected = helpers.reference_saturation(g, grammar)
         summaries = all_pairs(g, grammar)
         for sym, pairs in expected.items():
             assert summaries.pairs(sym) == pairs, (trial, name, sym)
         for assoc in ("right", "left"):
-            triples, symbols, _ = _saturate(g, normalize(grammar, assoc=assoc))
+            triples, symbols, _ = helpers.saturate(g, normalize(grammar, assoc=assoc))
             names = {c: s for s, c in symbols.items()}
             got = {(u, names[c], v) for u, c, v in triples if names[c] in expected}
             assert got == {(u, s, v) for s, ps in expected.items() for u, v in ps}, (trial, name, assoc)

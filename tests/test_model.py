@@ -142,7 +142,7 @@ def test_grammar_validation():
 
 
 def test_profiles_cover_the_statement_kind_lattice():
-    allowed = {p: p.allowed_kinds for p in StatementProfile}
+    allowed = {p: helpers.allowed_kinds(p) for p in StatementProfile}
     assert all(StatementKind.ADDRESS_OF in kinds for kinds in allowed.values())
     assert allowed[StatementProfile.CASE1] == frozenset(StatementKind)
     assert StatementKind.ASSIGN_STAR not in allowed[StatementProfile.CASE2]

@@ -134,11 +134,13 @@ def test_profile_purity_and_size_accounting():
         graph = rand_dyck_graph(6, 9, seed=700 + trial)
         program, _ = d1_to_program(graph, profile)
         used = {st.kind for st in program.statements}
-        assert used <= profile.allowed_kinds
+        assert used <= helpers.allowed_kinds(profile)
         nv, ne = graph.node_count, len(graph.edges)
-        expected_vars = (2 + profile.temps_per_node) * nv + profile.temps_per_edge * ne
-        expected_stmts = (1 + profile.temps_per_node) * nv + (
-            2 if profile.edges_via_star_assign else 1
+        expected_vars = (
+            (2 + helpers.temps_per_node(profile)) * nv + helpers.temps_per_edge(profile) * ne
+        )
+        expected_stmts = (1 + helpers.temps_per_node(profile)) * nv + (
+            2 if helpers.edges_via_star_assign(profile) else 1
         ) * ne
         assert len(program.variables) == expected_vars
         assert len(program.statements) == expected_stmts

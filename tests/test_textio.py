@@ -11,7 +11,7 @@ from palab.crosscheck import (
     worked_dyck_graph,
     worked_program,
 )
-from palab.model import ParseError, ReductionMap, Variable
+from palab.model import Grammar, GrammarError, ParseError, ReductionMap, Variable
 from palab.reductions import bmm_to_d1, d1_to_program
 from palab.textio import (
     parse_graph,
@@ -168,6 +168,19 @@ def test_grammar_eps_and_errors():
 
     with pytest.raises(GrammarError):
         parse_grammar("start S\nterminals a\nS -> b\n")  # undeclared symbol
+
+
+def test_grammar_text_round_trips_or_is_rejected():
+    # nonterminals named like the keyword lines stay productions
+    named_start = Grammar({"a"}, {"start"}, [("start", ("a",))], "start")
+    named_terminals = Grammar(
+        {"a"}, {"S", "terminals"}, [("S", ("terminals",)), ("terminals", ("a",))], "S"
+    )
+    for g in (named_start, named_terminals):
+        assert parse_grammar(serialize_grammar(g)) == g
+    for sym in ("eps", "#x", "->", "", "a b"):  # not one `.cfg` token
+        with pytest.raises(GrammarError):
+            serialize_grammar(Grammar({sym}, {"S"}, [("S", (sym,))], "S"))
 
 
 # ---------------------------------------------------------------------------
