@@ -14,8 +14,9 @@ Points-to sets are bitsets indexed by variable id.
 1. Offline phase: one iterative Tarjan pass collapses every cycle of the
    `a = b` edges before the first pop.
 2. Worklist phase: every node keeps a difference set `delta` of the bits it
-   gained since it was last processed. A pop snapshots and clears it and
-   works on the snapshot alone; bits that arrive meanwhile re-queue it.
+   gained since it was last processed, and a live node is on the worklist
+   iff its delta is non-zero. A pop snapshots and clears it and works on
+   the snapshot alone; bits that arrive meanwhile re-queue it.
    * Pointees: the snapshot's bits outside any merged group, plus one
      representative per group that it meets (one AND per group).
    * `a = *n` and `*n = b` add copy edges for those pointees. Every edge
@@ -29,7 +30,8 @@ Points-to sets are bitsets indexed by variable id.
 
 Both phases merge a cycle the same way: its nodes' sets are equal at the
 fixed point, so the one that stands for the most variables takes over the
-others' sets, edges, loads and stores and is re-queued with delta = pt.
+others' sets, edges, loads and stores and gets delta = pt; so does every
+other node with a non-empty set once the offline phase ends.
 `rep` is a flat list, so finding a representative is one index. The output
 builds one frozenset per distinct bitset and shares it between variables.
 The result is the least fixed point of whole-set iteration, whatever the
@@ -133,24 +135,23 @@ def solve(
     # is the bitset of the variables that r stands for, if more than itself;
     # a variable outside their union `grouped` is its own representative.
     # Ids in succ, loads and stores may be stale until their owner is next
-    # popped: clean[n] is the merge count when n's sets were last rewritten.
+    # popped: clean[n] is `merged` when n's sets were last rewritten.
     rep = list(range(nvars))
     groups: dict[int, int] = {}
     grouped = 0
     clean = [0] * nvars
-    delta = pt[:]
+    delta = [0] * nvars
     work: deque[int] = deque()
-    queued = bytearray(nvars)
     pop = work.popleft if policy == "fifo" else work.pop
     push = work.append
     checked: set[int] = set()  # x * nvars + z for every edge x -> z searched from
     candidates: list[int] = []
-    pops = new_edges = checks = merged = merges = 0
+    pops = new_edges = checks = merged = 0
 
     def collapse(cycle) -> None:
         """Merge the nodes of one copy-edge cycle into the one that stands
-        for the most variables, and queue it with delta = pt."""
-        nonlocal grouped, merged, merges
+        for the most variables, and give it delta = pt."""
+        nonlocal grouped, merged
         r = max(cycle, key=lambda u: groups.get(u, 1 << u).bit_count())
         mask = 0
         for o in cycle:
@@ -167,11 +168,9 @@ def solve(
         groups[r] = mask
         grouped |= mask
         merged += len(cycle) - 1
-        merges += 1
-        delta[r] = pt[r]
-        if not queued[r]:
-            queued[r] = 1
+        if pt[r] and not delta[r]:
             push(r)
+        delta[r] = pt[r]
 
     def join(sources, targets: set[int]) -> None:
         """Add the copy edges from every source to every target, then flow
@@ -190,33 +189,32 @@ def solve(
                 new = gained & ~pt[t]
                 if new:
                     pt[t] |= new
-                    delta[t] |= new
-                    if not queued[t]:
-                        queued[t] = 1
+                    if not delta[t]:
                         push(t)
+                    delta[t] |= new
 
     for component in _copy_sccs(succ):  # the offline phase
         checks += 1
         collapse(component)
-    work.extend(i for i in range(nvars) if pt[i] and not queued[i])
-    for i in work:
-        queued[i] = 1
+    for i in range(nvars):
+        if pt[i] and not delta[i]:
+            delta[i] = pt[i]
+            push(i)
 
     while work:
         n = pop()
-        queued[n] = 0
         d = delta[n]
-        if not d:  # nothing new, or n was merged away
+        if not d:  # n was merged away
             continue
         delta[n] = 0
         pops += 1
 
-        if clean[n] != merges:
+        if clean[n] != merged:
             succ[n] = {rep[z] for z in succ[n]}
             succ[n].discard(n)
             loads[n] = {rep[a] for a in loads[n]}
             stores[n] = {rep[b] for b in stores[n]}
-            clean[n] = merges
+            clean[n] = merged
 
         ld, sr = loads[n], stores[n]
         if ld or sr:
@@ -234,10 +232,9 @@ def solve(
             new = d & ~ptz
             if new:
                 pt[z] = ptz = ptz | new
-                delta[z] |= new
-                if not queued[z]:
-                    queued[z] = 1
+                if not delta[z]:
                     push(z)
+                delta[z] |= new
             if ptz == ptn:
                 key = n * nvars + z
                 if key not in checked:

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .model import (
     AlphabetMismatchError,
@@ -257,7 +257,8 @@ class SummarySet:
     @property
     def summaries(self) -> frozenset[tuple[int, str, int]]:
         return frozenset(
-            (u, sym, v) for sym, _ in self.by_symbol for u, v in self.ordered_pairs(sym)
+            (u, sym, v) for sym, rows in self.by_symbol
+            for u, row in enumerate(rows) for v in _ones(row)
         )
 
     def rows(self, symbol: str) -> tuple[int, ...]:
@@ -269,13 +270,7 @@ class SummarySet:
         return 0 <= src < len(rows) and dst >= 0 and bool(rows[src] >> dst & 1)
 
     def pairs(self, symbol: str) -> frozenset[tuple[int, int]]:
-        return frozenset(self.ordered_pairs(symbol))
-
-    def ordered_pairs(self, symbol: str) -> Iterator[tuple[int, int]]:
-        """The (source, target) pairs of one symbol in ascending order."""
-        for u, row in enumerate(self.rows(symbol)):
-            for v in _ones(row):
-                yield u, v
+        return frozenset((u, v) for u, row in enumerate(self.rows(symbol)) for v in _ones(row))
 
 
 def _check_alphabet(graph: LabeledDigraph, grammar: Grammar):
@@ -305,7 +300,9 @@ def _closure(
     operands are carried by normalize's unit rules, so no empty-path fact
     enters the worklist; at the fixpoint the diagonal is OR-ed into the
     rows of the nullable symbols. With a target the loop stops at the first
-    pop after its bit lands, and `out` is partial.
+    pop after its bit lands, and `out` is partial. A target (s, X, s) with X
+    nullable is answered here, before any edge fact is added: `hit` is True
+    and `out` is all zero.
 
     When `stats` is a dict it receives `pops`, `joined_rows` (rows visited
     by right joins), `summaries` (set bits per symbol of `norm.codes`,
@@ -313,8 +310,10 @@ def _closure(
     the stop, or None at the fixpoint).
     """
     codes, unit_by, left_of, right_of = norm.codes, norm.unit_by, norm.left_of, norm.right_of
+    hit = False
     if target is not None:
         ts, tc, tt = target[0], codes[target[1]], target[2]
+        hit = ts == tt and target[1] in norm.nullable
     n = graph.node_count
     out = [[0] * n for _ in codes]
     inn = [[0] * n if left else None for left in left_of]
@@ -330,10 +329,10 @@ def _closure(
             work.append((c, u))
         pending[u] |= new
 
-    for src, label, dst in sorted(graph.edges):
-        add(codes[label], src, 1 << dst)
+    if not hit:
+        for src, label, dst in sorted(graph.edges):
+            add(codes[label], src, 1 << dst)
 
-    hit = False
     pops = joined = 0
     while work:
         if target is not None and out[tc][ts] >> tt & 1:
@@ -412,18 +411,14 @@ def st_query(
     graph: LabeledDigraph, grammar: Grammar, s: int, t: int, stats: Optional[dict] = None
 ) -> bool:
     """True iff t is start-symbol-reachable from s; stops as soon as the
-    target summary appears. `stats`: see `_closure`; an empty path answers
-    before any pop, with every summary count 0."""
+    target summary appears. `stats`: see `_closure`, which also answers the
+    empty path (s == t, nullable start) before any pop, with every summary
+    count 0."""
     for node in (s, t):
         if not 0 <= node < graph.node_count:
             raise InvalidNodeError(f"node {node} out of range")
     _check_alphabet(graph, grammar)
-    norm = normalize(grammar)
-    if s == t and grammar.start in norm.nullable:
-        if stats is not None:
-            stats.update(pops=0, joined_rows=0, summaries=dict.fromkeys(norm.codes, 0), stopped_at=0)
-        return True
-    _, hit = _closure(graph, norm, target=(s, grammar.start, t), stats=stats)
+    _, hit = _closure(graph, normalize(grammar), target=(s, grammar.start, t), stats=stats)
     return hit
 
 

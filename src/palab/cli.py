@@ -25,10 +25,11 @@ from .reductions import bmm_to_d1, d1_to_program, triangle_to_st_d1
 
 
 def _default_seed() -> int:
+    value = os.environ.get("PA_LAB_SEED", "0")
     try:
-        return int(os.environ.get("PA_LAB_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise AnalysisError(f"PA_LAB_SEED={value!r} is not an integer") from None
 
 
 def _read(path: str) -> str:
@@ -260,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) is None:
-        args.seed = _default_seed()
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (AnalysisError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

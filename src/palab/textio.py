@@ -243,7 +243,7 @@ def serialize_matrix(matrix: BooleanMatrix) -> str:
 # grammars
 
 def parse_grammar(text: str) -> Grammar:
-    """`start <S>`, `terminals <t...>`, optional `nonterminals <N...>`,
+    """One `start <S>`, `terminals <t...>`, optional `nonterminals <N...>`,
     then productions `<LHS> -> <sym...>` with `eps` for the empty body."""
     start = None
     terminals: set[str] = set()
@@ -258,6 +258,8 @@ def parse_grammar(text: str) -> Grammar:
         elif parts[0] == "start":
             if len(parts) != 2:
                 raise ParseError("expected `start <symbol>`", lineno)
+            if start is not None:
+                raise ParseError(f"second `start` line (start is {start!r})", lineno)
             start = parts[1]
         elif parts[0] == "terminals":
             terminals.update(parts[1:])

@@ -4,9 +4,10 @@ import pytest
 
 from palab.andersen import _copy_sccs, query, solve
 from palab.cfl import all_pairs, builtin_grammar
-from palab.crosscheck import rand_program, worked_program
-from palab.model import Program, UnknownVariableError, Variable
+from palab.crosscheck import rand_matrix, rand_program, worked_program
+from palab.model import Program, StatementProfile, UnknownVariableError, Variable
 from palab.peg import ExprForm, build_peg
+from palab.reductions import bmm_to_d1, d1_to_program
 from palab.textio import parse_program
 
 import helpers
@@ -193,6 +194,38 @@ def test_offline_pass_counts_each_component_as_one_check():
     stats = {}
     solve(parse_program(OFFLINE_SHAPES["offline group grown by a lazy cycle"]), stats=stats)
     assert stats["merged"] == 2 and stats["cycle_checks"] >= 2
+
+
+# (pops, copy_edges, cycle_checks, merged) under fifo
+PINNED_RANDOM_COUNTERS = {
+    1: (1, 0, 1, 13),
+    2: (38, 395, 14, 86),
+    3: (2, 5, 2, 23),
+    4: (35, 34, 10, 6),
+    5: (7, 424, 4, 62),
+}
+PINNED_BMM_COUNTERS = {
+    "case1": (139, 112, 22, 0),
+    "case2": (97, 91, 15, 0),
+    "case3": (118, 112, 15, 0),
+    "case4": (56, 51, 14, 0),
+    "case5": (69, 91, 3, 0),
+    "case6": (28, 51, 0, 0),
+}
+
+
+def test_fifo_counters_are_pinned():
+    def counters(program):
+        stats = {}
+        solve(program, stats=stats)
+        return stats["pops"], stats["copy_edges"], stats["cycle_checks"], stats["merged"]
+
+    for seed, expected in PINNED_RANDOM_COUNTERS.items():
+        assert counters(rand_program(100, 500, seed)) == expected, seed
+    instance = bmm_to_d1(rand_matrix(8, 0.3, 1), rand_matrix(8, 0.3, 2))
+    for profile in StatementProfile:
+        program, _ = d1_to_program(instance, profile, prune_isolated=True)
+        assert counters(program) == PINNED_BMM_COUNTERS[profile.value], profile
 
 
 def test_copy_sccs_match_mutual_reachability():

@@ -264,7 +264,9 @@ def test_engine_counters_repeat_and_stay_opt_in():
     assert full["stopped_at"] is None and full["pops"] == first["pops"]
     empty = {}
     assert st_query(g, D1, 0, 0, stats=empty)
-    assert empty["stopped_at"] == 0
+    assert empty == {
+        "pops": 0, "joined_rows": 0, "summaries": dict.fromkeys(first["summaries"], 0), "stopped_at": 0
+    }
 
 
 def test_normalize_compiles_symbol_codes_and_rule_tables():

@@ -254,6 +254,14 @@ def test_digit_node_name_exits_2(workdir, capsys):
     )
 
 
+def test_malformed_seed_env_exits_2_without_traceback(capsys, monkeypatch):
+    monkeypatch.setenv("PA_LAB_SEED", "abc")
+    assert main(["gen", "matrix", "-n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: PA_LAB_SEED='abc' is not an integer\n"
+
+
 def test_seed_env_is_read_on_every_call(workdir, capsys, monkeypatch):
     outs = {}
     for seed in ("2", "3"):

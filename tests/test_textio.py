@@ -183,6 +183,11 @@ def test_grammar_text_round_trips_or_is_rejected():
             serialize_grammar(Grammar({sym}, {"S"}, [("S", (sym,))], "S"))
 
 
+def test_grammar_second_start_line_is_rejected():
+    with pytest.raises(ParseError, match="line 2: second `start` line"):
+        parse_grammar("start S\nstart T\nterminals a\nS -> a\nT -> a\n")
+
+
 # ---------------------------------------------------------------------------
 # solutions and maps
 
