@@ -4,16 +4,18 @@
 binarizes the productions, codes every symbol, and builds the rule tables.
 `all_pairs` saturates summary edges with a semi-naive worklist closure over
 those tables, one bitset row of targets per (symbol, source); `st_query`
-runs the same engine with an early exit. A fact enters the column index
-that right joins read when it pops, not when it is derived; every pair of
-facts of a binary rule is still joined by the time the later of the two
-pops (see `_closure`). Binarization shares one helper per body suffix (or
-prefix) across productions. Epsilon never enters the worklist: unit rules
-compensate for nullable operands, and the diagonal of each nullable symbol
-is added at the end. The built-in grammars (Dyck-1, generalized Dyck, and
-the two points-to-analysis reachability grammars over PEG labels) live here
-too, together with a terminal Follow-set analysis and an Earley membership
-check used as an independent oracle by the test harness.
+runs the same engine with an early exit. A fact (w, X, v) enters the column
+index that right joins read when it pops, not when it is derived: w is
+appended to the list of v's sources, so a right join visits sources in pop
+order with no bit walk. Every pair of facts of a binary rule is still
+joined by the time the later of the two pops (see `_closure`).
+Binarization shares one helper per body suffix (or prefix) across
+productions. Epsilon never enters the worklist: unit rules compensate for
+nullable operands, and the diagonal of each nullable symbol is added at the
+end. The built-in grammars (Dyck-1, generalized Dyck, and the two
+points-to-analysis reachability grammars over PEG labels) live here too,
+together with a terminal Follow-set analysis and an Earley membership check
+used as an independent oracle by the test harness.
 """
 
 from __future__ import annotations
@@ -290,11 +292,14 @@ def _closure(
     out[X][u] is the bitset of the targets v of the summaries (u, X, v), X a
     symbol code of `norm.codes`; the rule tables are `norm`'s. New targets
     of a row wait as one coalesced delta per (X, u). Popping a delta D of X
-    at row u first indexes it in the column index in[X] (in[X][v]: the
-    sources w of popped facts (w, X, v), kept only for left operands X),
-    then joins L -> X Y by OR-ing the out[Y] rows over the bits of D into
-    out[L][u], and L -> Y X by OR-ing D into out[L][w] for each w in
-    in[Y][u]. Each pair of facts A = (w, Y, u), B = (u, X, v) of a rule
+    at row u first indexes it in the column index in[X], then joins
+    L -> X Y by OR-ing the out[Y] rows over the bits of D into out[L][u],
+    and L -> Y X by OR-ing D into out[L][w] for each w in in[Y][u]. The
+    index is kept only for left operands X: in[X][v] is the list of the
+    sources w of the popped facts (w, X, v), in pop order, created on the
+    column's first fact (None before it). An add carries only targets not
+    yet in `out`, so each fact pops once and each source is listed once.
+    Each pair of facts A = (w, Y, u), B = (u, X, v) of a rule
     L -> Y X is joined: if A pops first, B's right join finds it in in[Y];
     if B is known first, A's left join reads it in out[X]. Nullable
     operands are carried by normalize's unit rules, so no empty-path fact
@@ -304,10 +309,10 @@ def _closure(
     nullable is answered here, before any edge fact is added: `hit` is True
     and `out` is all zero.
 
-    When `stats` is a dict it receives `pops`, `joined_rows` (rows visited
-    by right joins), `summaries` (set bits per symbol of `norm.codes`,
-    helpers included) and, with a target, `stopped_at` (the pop count at
-    the stop, or None at the fixpoint).
+    When `stats` is a dict it receives `pops`, `joined_rows` (column list
+    entries visited by right joins), `summaries` (set bits per symbol of
+    `norm.codes`, helpers included) and, with a target, `stopped_at` (the
+    pop count at the stop, or None at the fixpoint).
     """
     codes, unit_by, left_of, right_of = norm.codes, norm.unit_by, norm.left_of, norm.right_of
     hit = False
@@ -316,7 +321,7 @@ def _closure(
         hit = ts == tt and target[1] in norm.nullable
     n = graph.node_count
     out = [[0] * n for _ in codes]
-    inn = [[0] * n if left else None for left in left_of]
+    inn = [[None] * n if left else None for left in left_of]
     delta = [[0] * n for _ in codes]
     work: deque[tuple[int, int]] = deque()
     pop = work.popleft
@@ -345,9 +350,12 @@ def _closure(
         col = inn[c]
         if col is not None:
             vs = _ones(d)
-            mark = 1 << u
             for v in vs:
-                col[v] |= mark
+                ws = col[v]
+                if ws is None:
+                    col[v] = [u]
+                else:
+                    ws.append(u)
             for y, lhs in left_of[c]:
                 rows = out[y]
                 acc = 0
@@ -361,10 +369,9 @@ def _closure(
             if new:
                 add(lhs, u, new)
         for y, lhs in right_of[c]:
-            sources = inn[y][u]
-            if not sources:
+            ws = inn[y][u]
+            if ws is None:
                 continue
-            ws = _ones(sources)
             joined += len(ws)
             row = out[lhs]
             for w in ws:

@@ -223,6 +223,66 @@ def test_engine_matches_reference_saturation():
                 assert st_query(g, grammar, s, t) == ((s, t) in start_pairs), (trial, name, s, t)
 
 
+def test_answers_do_not_depend_on_node_numbering():
+    # Relabeling reorders the sorted edges, hence the pops and every column list.
+    import random
+
+    from palab.crosscheck import rand_dyck_graph, rand_program
+
+    cases = _reference_cases()
+    cases.append(("d1", rand_dyck_graph(20, 40, 5), D1))
+    peg = build_peg(rand_program(10, 20, 5))
+    cases += [("pt", peg.graph, PT), ("pt_prime", peg.graph, builtin_grammar("pt_prime"))]
+    for trial, (name, g, grammar) in enumerate(cases):
+        n = g.node_count
+        perm = list(range(n))
+        random.Random(trial).shuffle(perm)
+        moved = LabeledDigraph(n, g.alphabet, {(perm[u], a, perm[v]) for u, a, v in g.edges})
+        for assoc in ("right", "left"):
+            norm = normalize(grammar, assoc=assoc)
+            triples, _, _ = helpers.saturate(g, norm)
+            assert helpers.saturate(moved, norm)[0] == {
+                (perm[u], c, perm[v]) for u, c, v in triples
+            }, (trial, name, assoc)
+        summaries, moved_summaries = all_pairs(g, grammar), all_pairs(moved, grammar)
+        for sym in grammar.terminals | grammar.nonterminals:
+            assert moved_summaries.pairs(sym) == {
+                (perm[u], perm[v]) for u, v in summaries.pairs(sym)
+            }, (trial, name, sym)
+        # the original answer, as all_pairs gives it; the tests above tie
+        # st_query to all_pairs on unmoved graphs
+        for s in range(n):
+            for t in range(n):
+                assert st_query(moved, grammar, perm[s], perm[t]) == summaries.holds(
+                    s, grammar.start, t
+                ), (trial, name, s, t)
+
+
+def test_a_pop_joins_with_its_own_column_entry():
+    # A pop of (X, u) whose delta holds u enters u in in[X][u] before its
+    # right join reads in[X][u] under a rule L -> X X, so that join visits
+    # the pop's own entry. Its facts are also found by the left join, which
+    # reads out[X][u], so the summaries alone cannot show the order:
+    # `joined_rows` does.
+    loop = Grammar({"a"}, {"X"}, [("X", ("X", "X")), ("X", ("a",))], "X")
+    g = LabeledDigraph(1, {"a"}, {(0, "a", 0)})
+    stats = {}
+    summaries = all_pairs(g, loop, stats=stats)
+    assert summaries.pairs("X") == helpers.reference_saturation(g, loop)["X"] == {(0, 0)}
+    # pops: a, then X; X's right join visits in[X][0] == [0]
+    assert (stats["pops"], stats["joined_rows"]) == (2, 1)
+
+    g = LabeledDigraph(1, DYCK_LABELS, {(0, "[1", 0), (0, "]1", 0)})
+    stats = {}
+    summaries = all_pairs(g, D1, stats=stats)
+    expected = helpers.reference_saturation(g, D1)
+    for sym in ("D1", "S", "[1", "]1"):
+        assert summaries.pairs(sym) == expected[sym] == {(0, 0)}, sym
+    # pops: [1, ]1, @1 (@1 -> ]1), S (S -> [1 @1 visits in[[1][0] == [0]),
+    # D1; S's right join under S -> S S visits in[S][0] == [0]
+    assert (stats["pops"], stats["joined_rows"]) == (5, 2)
+
+
 def test_points_to_grammar_shares_helpers_in_both_orders():
     for assoc in ("right", "left"):
         norm = normalize(PT, assoc=assoc)
