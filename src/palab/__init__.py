@@ -42,7 +42,6 @@ from .crosscheck import (
     check_peg_equivalence,
     check_pt_prime,
     check_triangle_chain,
-    rand_instance,
     triangle_oracle,
 )
 

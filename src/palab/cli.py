@@ -43,7 +43,7 @@ def _read(path: str) -> str:
 def _sizes(text: str) -> list[int]:
     """argparse type for --sizes: a comma-separated list of ASCII counts."""
     tokens = [tok for tok in text.split(",") if tok]
-    if not all(map(is_count, tokens)):
+    if not tokens or not all(map(is_count, tokens)):
         raise argparse.ArgumentTypeError(f"not a comma-separated list of sizes: {text!r}")
     return [int(tok) for tok in tokens]
 
@@ -155,10 +155,15 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = dict(vars(args), max_vars=args.n, max_stmts=args.stmts)
-    instance = cc.rand_instance(args.kind.replace("-", "_"), params, args.seed)
-    serialize = {"matrix": textio.serialize_matrix, "program": textio.serialize_program}
-    text = serialize.get(args.kind, textio.serialize_graph)(instance)
+    if args.kind == "matrix":
+        text = textio.serialize_matrix(cc.rand_matrix(args.n, args.density, args.seed))
+    elif args.kind == "program":
+        text = textio.serialize_program(cc.rand_program(args.n, args.stmts, args.seed))
+    elif args.kind == "dyck-graph":
+        text = textio.serialize_graph(cc.rand_dyck_graph(args.n, args.m, args.seed))
+    else:  # simple-graph; argparse's `choices` screens the kind
+        graph = cc.rand_simple_graph(args.n, args.density, args.seed, args.directed)
+        text = textio.serialize_graph(graph)
     if args.output:
         _write(args.output, text)
     else:

@@ -1,16 +1,17 @@
 """Brute-force oracles and randomized equivalence suites.
 
-Each check_* suite runs a known worked instance as trial 0 and seeded random
-instances afterwards, comparing two independently computed answers; a
-mismatch is data, not an exception. Instance generation uses the stdlib
-Mersenne Twister (random.Random) seeded with `seed * 1000003 + trial`, so
-reports reproduce across machines.
+Each check_* suite compares two independently computed answers on the
+instances of one trial loop, `_run`: trial k has seed
+`tseed = seed * 1000003 + k`, trial 0 runs the suite's worked instance, and
+every later trial draws its instance from `random.Random(tseed)`. A
+mismatch is data, not an exception. The stdlib Mersenne Twister draws the
+same instances on every machine, and a report carries no wall time, so
+equal arguments give equal reports.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
 from .andersen import solve
@@ -43,17 +44,13 @@ class CheckReport:
     suite: str
     trials: int
     mismatches: tuple[tuple, ...]
-    elapsed: float
 
     @property
     def passed(self) -> bool:
         return not self.mismatches
 
     def summary_text(self) -> str:
-        lines = [
-            f"suite={self.suite} trials={self.trials} "
-            f"mismatches={len(self.mismatches)} elapsed={self.elapsed:.2f}s"
-        ]
+        lines = [f"suite={self.suite} trials={self.trials} mismatches={len(self.mismatches)}"]
         for seed, instance, expected, got in self.mismatches:
             lines.append(f"MISMATCH seed={seed} instance={instance} expected={expected} got={got}")
         return "\n".join(lines)
@@ -170,28 +167,6 @@ def rand_simple_graph(
     return LabeledDigraph(n, {"e"}, edges)
 
 
-def rand_instance(kind: str, params: dict, seed: int):
-    """Dispatch by kind: matrix, program, dyck_graph, or simple_graph."""
-    try:
-        if kind == "matrix":
-            return rand_matrix(params["n"], params.get("density", 0.3), seed)
-        if kind == "program":
-            return rand_program(params["max_vars"], params["max_stmts"], seed)
-        if kind == "dyck_graph":
-            return rand_dyck_graph(params["n"], params["m"], seed)
-        if kind == "simple_graph":
-            return rand_simple_graph(
-                params["n"], params.get("density", 0.3), seed, params.get("directed", False)
-            )
-    except KeyError as missing:
-        raise InvalidParamsError(f"missing parameter {missing} for {kind}") from None
-    raise InvalidParamsError(f"unknown instance kind {kind!r}")
-
-
-def _trial_seed(seed: int, trial: int) -> int:
-    return seed * _SEED_STRIDE + trial
-
-
 # ---------------------------------------------------------------------------
 # worked instances injected as trial 0
 
@@ -225,6 +200,19 @@ def worked_triangle_graph() -> LabeledDigraph:
 # ---------------------------------------------------------------------------
 # suites
 
+def _run(suite: str, trials: int, seed: int, trial) -> CheckReport:
+    """The trial loop: `trial(tseed, rng)` returns one instance's
+    mismatches, with rng None on trial 0 (the worked instance) and
+    `random.Random(tseed)` on every later trial."""
+    if trials < 1:
+        raise InvalidParamsError("need trials >= 1")
+    mismatches = []
+    for k in range(trials):
+        tseed = seed * _SEED_STRIDE + k
+        mismatches += trial(tseed, random.Random(tseed) if k else None)
+    return CheckReport(suite, trials, tuple(mismatches))
+
+
 def check_bmm_chain(
     n_max: int,
     trials: int,
@@ -232,16 +220,13 @@ def check_bmm_chain(
     profile: StatementProfile = StatementProfile.CASE1,
 ) -> CheckReport:
     """bmm_oracle == multiply_via_d1 == points-to readback, per trial."""
-    if n_max < 1 or trials < 1:
-        raise InvalidParamsError("need n_max >= 1 and trials >= 1")
-    started = time.perf_counter()
-    mismatches = []
-    for trial in range(trials):
-        tseed = _trial_seed(seed, trial)
-        if trial == 0:
+    if n_max < 1:
+        raise InvalidParamsError("need n_max >= 1")
+
+    def trial(tseed, rng):
+        if rng is None:
             a, b = worked_matrices()
         else:
-            rng = random.Random(tseed)
             n = 1 + _pick(rng, n_max)
             a = rand_matrix(n, 0.3, tseed + 1)
             b = rand_matrix(n, 0.3, tseed + 2)
@@ -251,42 +236,28 @@ def check_bmm_chain(
         program, pmap = d1_to_program(inst.graph, profile)
         solution = solve(program)
         n = a.n
-        readback = BooleanMatrix(
-            [
-                [
-                    1
-                    if solution.query(
-                        pmap.forward[inst.map.entity(i, "x")][0],
-                        pmap.forward[inst.map.entity(j, "z")][1],
-                    )
-                    else 0
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-        if via_graph != expected:
-            mismatches.append((tseed, f"n={n} stage=graph", expected.bits, via_graph.bits))
-        if readback != expected:
-            mismatches.append((tseed, f"n={n} stage=readback", expected.bits, readback.bits))
-    return CheckReport(
-        "bmm", trials, tuple(mismatches), time.perf_counter() - started
-    )
+        xs = [pmap.forward[inst.map.entity(i, "x")][0] for i in range(n)]
+        zs = [pmap.forward[inst.map.entity(j, "z")][1] for j in range(n)]
+        readback = BooleanMatrix([[int(solution.query(x, z)) for z in zs] for x in xs])
+        return [
+            (tseed, f"n={n} stage={stage}", expected.bits, got.bits)
+            for stage, got in (("graph", via_graph), ("readback", readback))
+            if got != expected
+        ]
+
+    return _run("bmm", trials, seed, trial)
 
 
 def check_peg_equivalence(trials: int, seed: int) -> CheckReport:
     """Solver points-to facts == Pt-reachability facts on the program's PEG."""
-    if trials < 1:
-        raise InvalidParamsError("need trials >= 1")
-    started = time.perf_counter()
     pt_grammar = builtin_grammar("pt")
-    mismatches = []
-    for trial in range(trials):
-        tseed = _trial_seed(seed, trial)
-        program = worked_program() if trial == 0 else rand_program(12, 25, tseed)
+
+    def trial(tseed, rng):
+        program = worked_program() if rng is None else rand_program(12, 25, tseed)
         solution = solve(program)
         peg = build_peg(program)
         summaries = all_pairs(peg.graph, pt_grammar)
+        mismatches = []
         for p in program.variables:
             src = peg.node(p, ExprForm.VAR)
             for q in program.variables:
@@ -294,24 +265,21 @@ def check_peg_equivalence(trials: int, seed: int) -> CheckReport:
                 got = summaries.holds(src, "Pt", peg.node(q, ExprForm.ADDR))
                 if expected != got:
                     mismatches.append((tseed, f"pair=({p},{q})", expected, got))
-    return CheckReport("peg", trials, tuple(mismatches), time.perf_counter() - started)
+        return mismatches
+
+    return _run("peg", trials, seed, trial)
 
 
 def check_pt_prime(trials: int, seed: int) -> CheckReport:
     """On reduction-built PEGs, points-to facts into primed address nodes
     coincide with the subset-only reachability between query nodes."""
-    if trials < 1:
-        raise InvalidParamsError("need trials >= 1")
-    started = time.perf_counter()
     pt_grammar = builtin_grammar("pt")
     prime_grammar = builtin_grammar("pt_prime")
-    mismatches = []
-    for trial in range(trials):
-        tseed = _trial_seed(seed, trial)
-        if trial == 0:
+
+    def trial(tseed, rng):
+        if rng is None:
             graph = worked_dyck_graph()
         else:
-            rng = random.Random(tseed)
             n = 1 + _pick(rng, 10)
             m = _pick(rng, 16)
             graph = rand_dyck_graph(n, min(m, 2 * n * n), tseed + 1)
@@ -319,6 +287,7 @@ def check_pt_prime(trials: int, seed: int) -> CheckReport:
         peg = build_peg(program)
         full = all_pairs(peg.graph, pt_grammar)
         pruned = all_pairs(peg.graph, prime_grammar)
+        mismatches = []
         for u in range(graph.node_count):
             u_node = peg.node(pmap.forward[u][0], ExprForm.VAR)
             for v in range(graph.node_count):
@@ -330,31 +299,30 @@ def check_pt_prime(trials: int, seed: int) -> CheckReport:
                 )
                 if black_gray != black_black:
                     mismatches.append((tseed, f"pair=({u},{v})", black_gray, black_black))
-    return CheckReport("pt-prime", trials, tuple(mismatches), time.perf_counter() - started)
+        return mismatches
+
+    return _run("pt-prime", trials, seed, trial)
 
 
 def check_triangle_chain(
     n_max: int, trials: int, seed: int, directed: bool = False
 ) -> CheckReport:
     """triangle_oracle == s-t Dyck-1 reachability of the reduced graph."""
-    if n_max < 3 or trials < 1:
-        raise InvalidParamsError("need n_max >= 3 and trials >= 1")
-    started = time.perf_counter()
+    if n_max < 3:
+        raise InvalidParamsError("need n_max >= 3")
     d1 = builtin_grammar("d1")
-    mismatches = []
-    for trial in range(trials):
-        tseed = _trial_seed(seed, trial)
-        if trial == 0:
+
+    def trial(tseed, rng):
+        if rng is None:
             graph = worked_triangle_graph()
         else:
-            rng = random.Random(tseed)
             n = 3 + _pick(rng, n_max - 2)
             graph = rand_simple_graph(n, 0.3, tseed + 1, directed)
         expected = triangle_oracle(graph, directed)
         inst = triangle_to_st_d1(graph, directed)
         got = st_query(inst.graph, d1, inst.s, inst.t)
-        if expected != got:
-            mismatches.append(
-                (tseed, f"n={graph.node_count} m={len(graph.edges)}", expected, got)
-            )
-    return CheckReport("triangle", trials, tuple(mismatches), time.perf_counter() - started)
+        if expected == got:
+            return []
+        return [(tseed, f"n={graph.node_count} m={len(graph.edges)}", expected, got)]
+
+    return _run("triangle", trials, seed, trial)

@@ -9,7 +9,9 @@ In `.cfg` text a line whose second token is `->` is a production, even when
 its first token is `start`, `terminals` or `nonterminals`. Each grammar
 symbol is one token, so `serialize_grammar` rejects the symbols the text
 cannot carry: `eps` (the empty body), `->`, the empty name, and any name
-containing `#` or whitespace.
+containing `#` or whitespace. Each `.lg` label and node name is one token
+too, so `serialize_graph` rejects the empty one and any containing `#` or
+whitespace.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .model import (
     BooleanMatrix,
     Grammar,
     GrammarError,
-    InvalidNodeError,
+    InvalidParamsError,
     LabeledDigraph,
     ParseError,
     PointsToSolution,
@@ -200,10 +202,21 @@ def parse_graph(text: str) -> LabeledDigraph:
     return LabeledDigraph(node_count, alphabet, edges, node_names)
 
 
+def _is_token(sym: str) -> bool:
+    """True if `sym` reads back as one token: not empty, no `#`, no whitespace."""
+    return "#" not in sym and sym.split() == [sym]
+
+
 def serialize_graph(graph: LabeledDigraph) -> str:
+    """Raises `InvalidParamsError` for a label or node name that `.lg`
+    text cannot carry."""
+    labels = sorted(graph.alphabet)
+    for sym in (*labels, *(graph.node_names or ())):
+        if not _is_token(sym):
+            raise InvalidParamsError(f"label or node name {sym!r} cannot be written as .lg text")
     lines = [f"nodes {graph.node_count}"]
-    if graph.alphabet:
-        lines.append("alphabet " + " ".join(sorted(graph.alphabet)))
+    if labels:
+        lines.append("alphabet " + " ".join(labels))
     if graph.node_names is not None:
         lines += [f"name {i} {name}" for i, name in enumerate(graph.node_names)]
     lines += [f"{src} {label} {dst}" for src, label, dst in sorted(graph.edges)]
@@ -276,7 +289,7 @@ def parse_grammar(text: str) -> Grammar:
 def serialize_grammar(grammar: Grammar) -> str:
     """Raises `GrammarError` for a symbol that `.cfg` text cannot carry."""
     for sym in sorted(grammar.terminals | grammar.nonterminals):
-        if sym in ("eps", "->") or "#" in sym or sym.split() != [sym]:
+        if sym in ("eps", "->") or not _is_token(sym):
             raise GrammarError(f"symbol {sym!r} cannot be written as .cfg text")
     lines = [
         "start " + grammar.start,

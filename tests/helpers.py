@@ -168,7 +168,7 @@ def saturate(graph: LabeledDigraph, norm: NormalizedGrammar):
 
 
 def kv_dump(report: CheckReport) -> str:
-    """A suite report's fields as tab-separated `key value` lines, no `elapsed`."""
+    """A suite report's fields as tab-separated `key value` lines."""
     return (
         f"suite\t{report.suite}\ntrials\t{report.trials}\n"
         f"mismatches\t{len(report.mismatches)}\npassed\t{int(report.passed)}\n"

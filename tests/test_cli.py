@@ -209,7 +209,7 @@ def test_bench_rows_carry_the_instance_sizes(capsys):
     assert capsys.readouterr().out.startswith("nodes=10 edges=20 suite=reach-d1 ")
 
 
-@pytest.mark.parametrize("sizes", ["10,x", "-5", "1.5", "٣", "1_0", "+3", "4, 5"])
+@pytest.mark.parametrize("sizes", ["10,x", "-5", "1.5", "٣", "1_0", "+3", "4, 5", "", ","])
 def test_bench_rejects_bad_sizes_with_usage(sizes, capsys):
     with pytest.raises(SystemExit) as err:
         main(["bench", "--sizes", sizes])

@@ -1,5 +1,6 @@
 import pytest
 
+from palab.cli import main
 from palab.crosscheck import (
     CheckReport,
     bmm_oracle,
@@ -7,7 +8,9 @@ from palab.crosscheck import (
     check_peg_equivalence,
     check_pt_prime,
     check_triangle_chain,
-    rand_instance,
+    rand_dyck_graph,
+    rand_matrix,
+    rand_program,
     triangle_oracle,
     worked_matrices,
     worked_triangle_graph,
@@ -46,29 +49,25 @@ def test_triangle_oracle_cases():
 
 
 def test_rand_instance_dispatch_and_determinism():
-    zero = rand_instance("matrix", {"n": 4, "density": 0.0}, seed=5)
+    zero = rand_matrix(4, 0.0, 5)
     assert zero == BooleanMatrix.zero(4)
-    sparse = rand_instance("dyck_graph", {"n": 5, "m": 0}, seed=9)
+    sparse = rand_dyck_graph(5, 0, 9)
     assert sparse.node_count == 5 and not sparse.edges
-    p1 = rand_instance("program", {"max_vars": 6, "max_stmts": 12}, seed=9)
-    p2 = rand_instance("program", {"max_vars": 6, "max_stmts": 12}, seed=9)
+    p1 = rand_program(6, 12, 9)
+    p2 = rand_program(6, 12, 9)
     assert serialize_program(p1) == serialize_program(p2)
-    g1 = rand_instance("dyck_graph", {"n": 6, "m": 8}, seed=2)
-    g2 = rand_instance("dyck_graph", {"n": 6, "m": 8}, seed=2)
+    g1 = rand_dyck_graph(6, 8, 2)
+    g2 = rand_dyck_graph(6, 8, 2)
     assert serialize_graph(g1) == serialize_graph(g2)
     with pytest.raises(InvalidParamsError):
-        rand_instance("mystery", {}, seed=0)
-    with pytest.raises(InvalidParamsError):
-        rand_instance("matrix", {}, seed=0)
-    with pytest.raises(InvalidParamsError):
-        rand_instance("dyck_graph", {"n": 1, "m": 99}, seed=0)
+        rand_dyck_graph(1, 99, 0)
 
 
 def test_programs_always_initialize_points_to_sets():
     from palab.model import StatementKind
 
     for seed in range(80):
-        prog = rand_instance("program", {"max_vars": 8, "max_stmts": 10}, seed=seed)
+        prog = rand_program(8, 10, seed)
         assert any(st.kind is StatementKind.ADDRESS_OF for st in prog.statements)
 
 
@@ -98,9 +97,19 @@ def test_suite_parameter_validation():
 
 
 def test_report_text_shape():
-    report = CheckReport("demo", 3, ((12, "n=2", True, False),), 0.5)
+    report = CheckReport("demo", 3, ((12, "n=2", True, False),))
     text = report.summary_text()
-    assert text.splitlines()[0] == "suite=demo trials=3 mismatches=1 elapsed=0.50s"
+    assert text.splitlines()[0] == "suite=demo trials=3 mismatches=1"
     assert "MISMATCH seed=12" in text
     assert not report.passed
     assert "passed\t0" in helpers.kv_dump(report)
+
+
+def test_equal_runs_give_equal_reports(capsys):
+    assert check_bmm_chain(4, 10, 3) == check_bmm_chain(4, 10, 3)
+    assert check_triangle_chain(5, 10, 3) == check_triangle_chain(5, 10, 3)
+    outputs = []
+    for _ in range(2):
+        assert main(["crosscheck", "--suite", "bmm", "--trials", "10", "--seed", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,15 @@ from palab.crosscheck import (
     worked_dyck_graph,
     worked_program,
 )
-from palab.model import Grammar, GrammarError, ParseError, ReductionMap, Variable
+from palab.model import (
+    Grammar,
+    GrammarError,
+    InvalidParamsError,
+    LabeledDigraph,
+    ParseError,
+    ReductionMap,
+    Variable,
+)
 from palab.reductions import bmm_to_d1, d1_to_program
 from palab.textio import (
     parse_graph,
@@ -111,6 +121,21 @@ def test_graph_errors():
         parse_graph("nodes 2\nalphabet x\n0 y 1\n")
     with pytest.raises(ParseError):
         parse_graph("nodes 1\nname 0 a\nname 0 b\n")
+
+
+def test_serialize_graph_rejects_symbols_lg_cannot_carry():
+    # not one `.lg` token: the text would drop a `#` tail or fail to parse
+    for label, names in [
+        ("e", ("a#", "b")),
+        ("e", ("a b", "b")),
+        ("e f", None),
+        ("e#", None),
+        ("", None),
+    ]:
+        graph = LabeledDigraph(2, {label}, {(0, label, 1)}, names)
+        bad = label if names is None else names[0]
+        with pytest.raises(InvalidParamsError, match=re.escape(repr(bad))):
+            serialize_graph(graph)
 
 
 def test_graph_duplicate_edges_collapse():
