@@ -262,7 +262,7 @@ def check_peg_equivalence(trials: int, seed: int) -> CheckReport:
             src = peg.node(p, ExprForm.VAR)
             for q in program.variables:
                 expected = solution.query(p, q)
-                got = summaries.holds(src, "Pt", peg.node(q, ExprForm.ADDR))
+                got = summaries.holds(src, pt_grammar.start, peg.node(q, ExprForm.ADDR))
                 if expected != got:
                     mismatches.append((tseed, f"pair=({p},{q})", expected, got))
         return mismatches
@@ -292,10 +292,10 @@ def check_pt_prime(trials: int, seed: int) -> CheckReport:
             u_node = peg.node(pmap.forward[u][0], ExprForm.VAR)
             for v in range(graph.node_count):
                 black_gray = full.holds(
-                    u_node, "Pt", peg.node(pmap.forward[v][1], ExprForm.ADDR)
+                    u_node, pt_grammar.start, peg.node(pmap.forward[v][1], ExprForm.ADDR)
                 )
                 black_black = pruned.holds(
-                    u_node, "Pt'", peg.node(pmap.forward[v][0], ExprForm.VAR)
+                    u_node, prime_grammar.start, peg.node(pmap.forward[v][0], ExprForm.VAR)
                 )
                 if black_gray != black_black:
                     mismatches.append((tseed, f"pair=({u},{v})", black_gray, black_black))

@@ -192,9 +192,6 @@ class Program:
     def statement_set(self) -> frozenset[Statement]:
         return frozenset(self.statements)
 
-    def __len__(self) -> int:
-        return len(self.statements)
-
 
 @dataclass(frozen=True)
 class PointsToSolution:

@@ -96,9 +96,10 @@ def bmm_to_d1(a: BooleanMatrix, b: BooleanMatrix) -> D1Instance:
 def multiply_via_d1(a: BooleanMatrix, b: BooleanMatrix) -> BooleanMatrix:
     """Boolean product computed by Dyck-1 reachability on the reduced graph."""
     inst = bmm_to_d1(a, b)
-    summaries = all_pairs(inst.graph, dyck_grammar(1))
+    grammar = dyck_grammar(1)
+    summaries = all_pairs(inst.graph, grammar)
     n = a.n
-    start_pairs = summaries.pairs("D1")
+    start_pairs = summaries.pairs(grammar.start)
     return BooleanMatrix(
         [[1 if (i, 2 * n + j) in start_pairs else 0 for j in range(n)] for i in range(n)]
     )

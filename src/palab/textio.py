@@ -131,7 +131,7 @@ def parse_graph(text: str) -> LabeledDigraph:
 
     alphabet: set[str] = set()
     alphabet_declared = False
-    labels: set[str] = set()  # every edge label
+    labels: dict[str, int] = {}  # each edge label -> line of its first edge
     names: dict[int, str] = {}
     node_of: dict[str, int] = {}  # each name and id token seen so far
     edges: set[tuple[int, str, int]] = set()
@@ -180,17 +180,14 @@ def parse_graph(text: str) -> LabeledDigraph:
         if len(parts) != 3:
             raise ParseError("expected `<src> <label> <dst>` edge", lineno)
         src, label, dst = parts
-        labels.add(label)
+        labels.setdefault(label, lineno)
         edges.add((resolve(src, lineno), label, resolve(dst, lineno)))
 
     if not alphabet_declared:
-        alphabet = labels
-    elif not labels <= alphabet:
-        # error path only: report the first edge line with an undeclared label
-        for lineno, line in lines[1:]:
-            parts = line.split()
-            if parts[0] not in ("alphabet", "name") and parts[1] not in alphabet:
-                raise ParseError(f"label {parts[1]!r} not in declared alphabet", lineno)
+        alphabet = set(labels)
+    elif not labels.keys() <= alphabet:
+        lineno, label = min((n, x) for x, n in labels.items() if x not in alphabet)
+        raise ParseError(f"label {label!r} not in declared alphabet", lineno)
 
     node_names = None
     if names:

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -254,3 +258,23 @@ def test_declared_alphabet_lists_every_label_in_any_line_order(lines):
         assert g.alphabet == frozenset({"a"}) and g.edges == frozenset({(0, "a", 1)})
     split = parse_graph("nodes 2\nalphabet x\n0 y 1\nalphabet y z\n")
     assert split.alphabet == frozenset({"x", "y", "z"})
+
+
+def test_undeclared_label_error_names_the_first_bad_edge_line():
+    with pytest.raises(ParseError, match=r"^line 4: label 'z' not in declared alphabet$"):
+        parse_graph("nodes 2\nalphabet x\n0 x 1\n0 z 1\n0 y 1\n")
+
+
+# ---------------------------------------------------------------------------
+# module boundaries
+
+def test_importing_textio_loads_only_the_model():
+    code = (
+        "import sys, palab.textio\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'palab'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["palab", "palab.model", "palab.textio"]
