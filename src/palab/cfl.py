@@ -14,8 +14,7 @@ productions. Epsilon never enters the worklist: unit rules compensate for
 nullable operands, and the diagonal of each nullable symbol is added at the
 end. The built-in grammars (Dyck-1, generalized Dyck, and the two
 points-to-analysis reachability grammars over PEG labels) live here too,
-together with a terminal Follow-set analysis and an Earley membership check
-used as an independent oracle by the test harness.
+together with a terminal Follow-set analysis.
 """
 
 from __future__ import annotations
@@ -476,71 +475,3 @@ def follow_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
                 if len(acc) != before:
                     changed = True
     return {t: frozenset(follow[t]) for t in grammar.terminals}
-
-
-# ---------------------------------------------------------------------------
-# membership oracle (independent of the saturation path)
-
-def derives(grammar: Grammar, symbol: str, word: Sequence[str]) -> bool:
-    """Earley chart check: does `symbol` derive the given terminal string?
-
-    Works directly on the declared productions, so it shares no code with
-    the normalization/saturation pipeline.
-    """
-    if symbol in grammar.terminals:
-        return len(word) == 1 and word[0] == symbol
-    if symbol not in grammar.nonterminals:
-        raise InvalidParamsError(f"unknown symbol {symbol!r}")
-    for tok in word:
-        if tok not in grammar.terminals:
-            return False
-
-    nullable = _nullable_closure(grammar.productions)
-    prods = list(grammar.productions)
-    by_lhs: dict[str, list[int]] = {}
-    for idx, (lhs, _) in enumerate(prods):
-        by_lhs.setdefault(lhs, []).append(idx)
-    if symbol not in by_lhs:
-        return False
-
-    n = len(word)
-    # chart[k]: set of (prod_index, dot, origin)
-    chart: list[set[tuple[int, int, int]]] = [set() for _ in range(n + 1)]
-    for idx in by_lhs[symbol]:
-        chart[0].add((idx, 0, 0))
-
-    for k in range(n + 1):
-        queue = deque(chart[k])
-
-        def put(item: tuple[int, int, int]):
-            if item not in chart[k]:
-                chart[k].add(item)
-                queue.append(item)
-
-        while queue:
-            idx, dot, origin = queue.popleft()
-            lhs, rhs = prods[idx]
-            if dot == len(rhs):
-                # complete: advance every item waiting on lhs at `origin`;
-                # same-position completions are covered by the nullable
-                # pre-advance below
-                for pidx, pdot, porigin in list(chart[origin]):
-                    prhs = prods[pidx][1]
-                    if pdot < len(prhs) and prhs[pdot] == lhs:
-                        put((pidx, pdot + 1, porigin))
-                continue
-            nxt = rhs[dot]
-            if nxt in grammar.terminals:
-                if k < n and word[k] == nxt:
-                    chart[k + 1].add((idx, dot + 1, origin))
-            else:
-                for nidx in by_lhs.get(nxt, ()):
-                    put((nidx, 0, k))
-                if nxt in nullable:
-                    put((idx, dot + 1, origin))
-
-    for idx, dot, origin in chart[n]:
-        lhs, rhs = prods[idx]
-        if lhs == symbol and origin == 0 and dot == len(rhs):
-            return True
-    return False

@@ -273,6 +273,9 @@ def main(argv=None) -> int:
     except (AnalysisError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def entry():

@@ -3,7 +3,8 @@
 Each check_* suite compares two independently computed answers on the
 instances of one trial loop, `_run`: trial k has seed
 `tseed = seed * 1000003 + k`, trial 0 runs the suite's worked instance, and
-every later trial draws its instance from `random.Random(tseed)`. A
+every later trial draws its instance sizes and the seeds it hands to the
+generators from `random.Random(tseed)`, so no two trials share a stream. A
 mismatch is data, not an exception. The stdlib Mersenne Twister draws the
 same instances on every machine, and a report carries no wall time, so
 equal arguments give equal reports.
@@ -228,8 +229,8 @@ def check_bmm_chain(
             a, b = worked_matrices()
         else:
             n = 1 + _pick(rng, n_max)
-            a = rand_matrix(n, 0.3, tseed + 1)
-            b = rand_matrix(n, 0.3, tseed + 2)
+            a = rand_matrix(n, 0.3, _pick(rng, 1 << 32))
+            b = rand_matrix(n, 0.3, _pick(rng, 1 << 32))
         expected = bmm_oracle(a, b)
         via_graph = multiply_via_d1(a, b)
         inst = bmm_to_d1(a, b)
@@ -253,7 +254,7 @@ def check_peg_equivalence(trials: int, seed: int) -> CheckReport:
     pt_grammar = builtin_grammar("pt")
 
     def trial(tseed, rng):
-        program = worked_program() if rng is None else rand_program(12, 25, tseed)
+        program = worked_program() if rng is None else rand_program(12, 25, _pick(rng, 1 << 32))
         solution = solve(program)
         peg = build_peg(program)
         summaries = all_pairs(peg.graph, pt_grammar)
@@ -282,7 +283,7 @@ def check_pt_prime(trials: int, seed: int) -> CheckReport:
         else:
             n = 1 + _pick(rng, 10)
             m = _pick(rng, 16)
-            graph = rand_dyck_graph(n, min(m, 2 * n * n), tseed + 1)
+            graph = rand_dyck_graph(n, min(m, 2 * n * n), _pick(rng, 1 << 32))
         program, pmap = d1_to_program(graph, StatementProfile.CASE1)
         peg = build_peg(program)
         full = all_pairs(peg.graph, pt_grammar)
@@ -317,7 +318,7 @@ def check_triangle_chain(
             graph = worked_triangle_graph()
         else:
             n = 3 + _pick(rng, n_max - 2)
-            graph = rand_simple_graph(n, 0.3, tseed + 1, directed)
+            graph = rand_simple_graph(n, 0.3, _pick(rng, 1 << 32), directed)
         expected = triangle_oracle(graph, directed)
         inst = triangle_to_st_d1(graph, directed)
         got = st_query(inst.graph, d1, inst.s, inst.t)

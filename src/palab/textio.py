@@ -17,6 +17,7 @@ whitespace.
 from __future__ import annotations
 
 import re
+import sys
 from operator import attrgetter
 from typing import Iterable
 
@@ -128,6 +129,8 @@ def parse_graph(text: str) -> LabeledDigraph:
     if not is_count(parts[1]):
         raise ParseError(f"bad node count {parts[1]!r}", lineno)
     node_count = int(parts[1])
+    if node_count > sys.maxsize:
+        raise ParseError(f"node count {node_count} exceeds {sys.maxsize}", lineno)
 
     alphabet: set[str] = set()
     alphabet_declared = False

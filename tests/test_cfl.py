@@ -2,7 +2,7 @@ from types import MappingProxyType
 
 import pytest
 
-from palab.cfl import all_pairs, builtin_grammar, derives, normalize, st_query
+from palab.cfl import all_pairs, builtin_grammar, normalize, st_query
 from palab.crosscheck import worked_dyck_graph, worked_program, worked_triangle_graph
 from palab.model import (
     AlphabetMismatchError,
@@ -16,6 +16,7 @@ from palab.reductions import triangle_to_st_d1
 from palab.textio import parse_program
 
 import helpers
+from helpers import derives
 
 D1 = builtin_grammar("d1")
 PT = builtin_grammar("pt")

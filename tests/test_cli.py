@@ -292,6 +292,32 @@ def test_graph_node_count_must_be_ascii_digits(workdir, capsys, count):
     assert "bad node count" in _reach_error(workdir, capsys, f"nodes {count}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reach", "--grammar", "d1"],
+        ["reach", "--grammar", "d1", "--source", "0", "--target", "1"],
+        ["reduce", "d1-to-pa", "-o", "out.pa"],
+        ["reduce", "triangle-to-d1", "-o", "out.lg"],
+    ],
+)
+def test_node_count_above_maxsize_exits_2(workdir, capsys, argv):
+    huge = workdir / "huge.lg"
+    huge.write_text("nodes 100000000000000000000\n")
+    argv = [str(workdir / arg) if arg.startswith("out.") else arg for arg in argv]
+    assert main([*argv, str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+
+def test_node_count_beyond_memory_exits_2(workdir, capsys):
+    # CPython refuses `[0] * 2**60` before it allocates anything
+    huge = workdir / "huge.lg"
+    huge.write_text("nodes 1152921504606846976\n")
+    assert main(["reach", str(huge), "--grammar", "d1"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("size", ["٤", "+4", "0_4"])
 def test_matrix_size_must_be_ascii_digits(workdir, capsys, size):
     bad = workdir / "bad.bm"

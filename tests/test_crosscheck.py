@@ -1,5 +1,6 @@
 import pytest
 
+import palab.crosscheck as cc
 from palab.cli import main
 from palab.crosscheck import (
     CheckReport,
@@ -113,3 +114,33 @@ def test_equal_runs_give_equal_reports(capsys):
         assert main(["crosscheck", "--suite", "bmm", "--trials", "10", "--seed", "3"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda seed: check_bmm_chain(4, 200, seed),
+        lambda seed: check_peg_equivalence(200, seed),
+        lambda seed: check_pt_prime(200, seed),
+        lambda seed: check_triangle_chain(5, 200, seed, directed=True),
+    ],
+    ids=["bmm", "peg", "pt-prime", "triangle"],
+)
+def test_trials_hand_the_generators_fresh_seeds(suite, monkeypatch):
+    """Each trial draws its generators' seeds from its own stream, so no
+    seed reaches a generator twice and none is another trial's seed."""
+    drawn: list[int] = []
+
+    def logged(gen):
+        def wrapper(*args):
+            drawn.append(args[2])
+            return gen(*args)
+
+        return wrapper
+
+    for name in ("rand_matrix", "rand_program", "rand_dyck_graph", "rand_simple_graph"):
+        monkeypatch.setattr(cc, name, logged(getattr(cc, name)))
+    seed = 3
+    assert suite(seed).passed
+    assert drawn and len(set(drawn)) == len(drawn)
+    assert not set(drawn) & {seed * 1000003 + k for k in range(200)}

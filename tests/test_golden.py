@@ -92,7 +92,7 @@ GOLDEN = {
     "gen/dyck-graph": "0aea90ed3566e66dca7ee5e893e420c1f42a5275bb7f29d7e753d06d6f41dccf",
     "gen/simple-graph": "a247570157e8388f411b4e0d54720523cd200e9a6c24c4ee71de85b08775d464",
     "crosscheck/summaries": "9ff334231eb6f2ef43c154216f53820ecde31804043c7e5c06242ddde55ec59b",
-    "crosscheck/inputs": "8556dd03c71ef9d324ae78ae844ddfc78baeaa0aefd22e3ac8df9a6ccd1c69c1",
+    "crosscheck/inputs": "ccfed507f5c6f24403bbc56b0f2adfd4bc7a836766bee364ebcada4f80b3b3a3",
 }
 
 # stdout of `palab reach` and `palab analyze`, the answers as printed

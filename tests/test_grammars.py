@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from palab.cfl import builtin_grammar, derives, dyck_grammar, follow_sets, normalize
+from palab.cfl import builtin_grammar, dyck_grammar, follow_sets, normalize
 from palab.model import Grammar, InvalidParamsError
 from palab.peg import PEG_ALPHABET
 
 import helpers
+from helpers import derives
 
 
 def test_dyck1_grammar_shape():
