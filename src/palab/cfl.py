@@ -9,7 +9,9 @@ index that right joins read when it pops, not when it is derived: w is
 appended to the list of v's sources, so a right join visits sources in pop
 order with no bit walk. Every pair of facts of a binary rule is still
 joined by the time the later of the two pops (see `_closure`).
-Binarization shares one helper per body suffix (or prefix) across
+Binarization first folds each run of two or more terminals in a longer
+body into one helper, whose facts are at most the graph's paths that spell
+the run, then shares one helper per body suffix (or prefix) across
 productions. Epsilon never enters the worklist: unit rules compensate for
 nullable operands, and the diagonal of each nullable symbol is added at the
 end. The built-in grammars (Dyck-1, generalized Dyck, and the two
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -127,9 +130,11 @@ class NormalizedGrammar:
     """Binarized grammar compiled into the saturation engine's tables.
 
     `binary_productions` have right-hand sides of length 1 or 2 with no
-    epsilon. `nullable` names every symbol that derives epsilon, helpers
-    included. Epsilon is carried by compensation: each L -> X Y gains
-    L -> Y when X is nullable and L -> X when Y is, which keeps every
+    epsilon. Each helper of `helper_map` derives exactly one span of
+    symbols: a run of terminals folded out of a body, or a suffix (prefix)
+    of a folded body. `nullable` names every symbol that derives epsilon,
+    helpers included. Epsilon is carried by compensation: each L -> X Y
+    gains L -> Y when X is nullable and L -> X when Y is, which keeps every
     summary over a nonempty path; the empty-path summaries (v, X, v) of the
     nullable symbols are added once the saturation is complete.
 
@@ -154,12 +159,23 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
     """Split long productions with fresh helpers, pre-compute nullability,
     and compile the symbol codes and rule tables that `_closure` reads.
 
-    `assoc` picks the helper chaining direction; either yields the same
-    summaries once helpers are projected out. A helper derives exactly the
-    suffix (right) or prefix (left) of a body that it spans, so productions
-    whose bodies share that span share the helper; `helper_map` records the
-    first production that needed it. Helper names are `@<k>` names that the
-    grammar does not use. No other function codes symbols.
+    A body longer than two first has each maximal run of two or more
+    terminals, short of the whole body, replaced by a helper that derives
+    the run. Such a helper has at most one fact per graph path that spells
+    the run. Every run in the built-in grammars holds `d` or `-d`, and a
+    PEG node has at most one `d` successor and one `d` predecessor, so the
+    run's helper has at most as many facts as its other label has edges;
+    a helper that spans a nonterminal can have as many as the nonterminal.
+    Right-chained, `S -> as -d S r d` becomes `S -> @a @x`, `@x -> S @b`,
+    `@a -> as -d`, `@b -> r d`, and `-S -> -sa -d S r d` reuses `@x`.
+
+    The folded body is then chained: `assoc` picks the direction; either
+    yields the same summaries once helpers are projected out. A helper
+    derives exactly the run, suffix (right) or prefix (left) that it spans,
+    so productions whose bodies share that span share the helper;
+    `helper_map` records the first production that needed it. Helper
+    names are `@<k>` names that the grammar does not use. No other
+    function codes symbols.
 
     Results are cached per (grammar value, assoc); every caller shares the
     one read-only value.
@@ -174,30 +190,53 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
     rules: list[tuple[str, tuple[str, ...]]] = []
     counter = 0
 
-    for origin in grammar.productions:
-        head, body = origin
-        if len(body) == 0:
-            continue  # carried by `nullable`
+    def helper(span: tuple[str, ...], origin) -> tuple[str, bool]:
+        """The helper that derives exactly `span`, and whether it existed."""
+        nonlocal counter
+        name = helper_of.get(span)
+        if name is not None:
+            return name, True
+        counter += 1
+        while f"@{counter}" in taken:
+            counter += 1
+        name = helper_of[span] = f"@{counter}"
+        helper_map[name] = origin
+        if all(s in nullable for s in span):
+            nullable.add(name)
+        return name, False
+
+    def chain(head: str, body: tuple[str, ...], origin):
         # right: head -> s0 H(s1..), H(s1..) -> s1 H(s2..), ..., H -> s_{k-2} s_{k-1}
         # left:  head -> H(..s_{k-2}) s_{k-1}, ..., H -> s0 s1
         while len(body) > 2:
             span = body[1:] if assoc == "right" else body[:-1]
-            helper = helper_of.get(span)
-            known = helper is not None
-            if not known:
-                counter += 1
-                while f"@{counter}" in taken:
-                    counter += 1
-                helper = helper_of[span] = f"@{counter}"
-                helper_map[helper] = origin
-                if all(s in nullable for s in span):
-                    nullable.add(helper)
-            rules.append((head, (body[0], helper) if assoc == "right" else (helper, body[-1])))
+            name, known = helper(span, origin)
+            rules.append((head, (body[0], name) if assoc == "right" else (name, body[-1])))
             if known:  # the rules below a shared helper exist already
-                break
-            head, body = helper, span
-        else:
-            rules.append((head, body))
+                return
+            head, body = name, span
+        rules.append((head, body))
+
+    def fold(body: tuple[str, ...], origin) -> tuple[str, ...]:
+        """`body` with each maximal run of two or more terminals, short of
+        the whole body, replaced by the helper that derives the run."""
+        folded: list[str] = []
+        for is_terminal, group in groupby(body, grammar.terminals.__contains__):
+            run = tuple(group)
+            if is_terminal and 1 < len(run) < len(body):
+                name, known = helper(run, origin)
+                if not known:
+                    chain(name, run, origin)
+                run = (name,)
+            folded += run
+        return tuple(folded)
+
+    for origin in grammar.productions:
+        head, body = origin
+        if len(body) > 2:
+            body = fold(body, origin)
+        if body:  # an empty body is carried by `nullable`
+            chain(head, body, origin)
 
     # compensation for nullable operands of binary rules
     extra: list[tuple[str, tuple[str, ...]]] = []

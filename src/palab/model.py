@@ -188,10 +188,6 @@ class Program:
             seen.setdefault(st.rhs.name, st.rhs)
         return tuple(seen.values())
 
-    @cached_property
-    def statement_set(self) -> frozenset[Statement]:
-        return frozenset(self.statements)
-
 
 @dataclass(frozen=True)
 class PointsToSolution:

@@ -41,7 +41,11 @@ class ExprForm(enum.Enum):
     DEREF = 2  # *v
 
     def render(self, var: Variable) -> str:
-        return ("&", "", "*")[self.value] + var.name
+        return _FORM_PREFIXES[self.value][1] + var.name
+
+
+# each form with its spelled prefix, in node order (&v, v, *v)
+_FORM_PREFIXES = ((ExprForm.ADDR, "&"), (ExprForm.VAR, ""), (ExprForm.DEREF, "*"))
 
 
 # statement kind -> (label, source form, target form) of its program edge
@@ -51,6 +55,13 @@ _STATEMENT_EDGE = {
     StatementKind.ASSIGN_STAR: (LABEL_AS, ExprForm.VAR, ExprForm.DEREF), # a -as-> *b
     StatementKind.STAR_ASSIGN: (LABEL_SA, ExprForm.DEREF, ExprForm.VAR), # *a -sa-> b
 }
+# `_STATEMENT_EDGE` as `build_peg` reads it: kind -> (label, barred label,
+# source offset, target offset), an offset being a form's place in (&v, v, *v)
+_EDGE_OF_KIND = {
+    kind: (label, inverse_label(label), sform.value, dform.value)
+    for kind, (label, sform, dform) in _STATEMENT_EDGE.items()
+}
+_LABEL_D_BAR = inverse_label(LABEL_D)
 
 
 @dataclass(frozen=True)
@@ -75,29 +86,31 @@ def build_peg(program: Program) -> PEG:
 
     Per statement, one program edge from `_STATEMENT_EDGE`. Per variable
     v, the dereference edges &v -d-> v and v -d-> *v are always present.
-    Every edge also gets its reverse with the barred label.
+    Every edge also gets its reverse with the barred label. Repeated
+    statements give the same edge, so the edge set holds it once.
     """
     variables = program.variables
     index = {v: 3 * i for i, v in enumerate(variables)}
     edges: set[tuple[int, str, int]] = set()
-
-    def insert(src: int, label: str, dst: int):
-        edges.add((src, label, dst))
-        edges.add((dst, inverse_label(label), src))
-
+    add = edges.add
     for base in index.values():
-        insert(base, LABEL_D, base + 1)
-        insert(base + 1, LABEL_D, base + 2)
-    for st in program.statement_set:
-        label, sform, dform = _STATEMENT_EDGE[st.kind]
-        insert(index[st.lhs] + sform.value, label, index[st.rhs] + dform.value)
+        add((base, LABEL_D, base + 1))
+        add((base + 1, _LABEL_D_BAR, base))
+        add((base + 1, LABEL_D, base + 2))
+        add((base + 2, _LABEL_D_BAR, base + 1))
+    for kind, lhs, rhs in program.statements:
+        label, bar, soff, doff = _EDGE_OF_KIND[kind]
+        src = index[lhs] + soff
+        dst = index[rhs] + doff
+        add((src, label, dst))
+        add((dst, bar, src))
 
     expr_of = []
     names = []
     for v in variables:
-        for form in (ExprForm.ADDR, ExprForm.VAR, ExprForm.DEREF):
+        for form, prefix in _FORM_PREFIXES:
             expr_of.append((v, form))
-            names.append(form.render(v))
+            names.append(prefix + v.name)
     graph = LabeledDigraph(3 * len(variables), PEG_ALPHABET, edges, names or None)
     return PEG(graph, tuple(expr_of))
 

@@ -181,6 +181,15 @@ _HAND_GRAMMARS = {
     ),
     "unit cycle": ("A", [("A", ("B",)), ("B", ("A",)), ("A", ("a",)), ("B", ("b", "c", "A"))]),
     "helper-name clash": ("X", [("X", ("a", "c", "c", "b")), ("@1", ("b",))]),
+    # runs of terminals at the start, middle and end of a body, the middle one
+    # before the nullable N; `c a` starts N's body too, the all-terminal
+    # `b c a` is chained unfolded through the span `c a` (right) or `b c`
+    # (left), and the run `c a b` through `a b` (right) or `c a` (left)
+    "terminal runs": (
+        "X",
+        [("X", ("a", "b", "X", "c", "a", "N", "b", "c")), ("X", ("b", "c", "a")),
+         ("X", ("N", "c", "a", "b")), ("N", ("c", "a", "N")), ("N", ()), ("N", ("b",))],
+    ),
 }
 
 
@@ -284,11 +293,60 @@ def test_a_pop_joins_with_its_own_column_entry():
     assert (stats["pops"], stats["joined_rows"]) == (5, 2)
 
 
+def _helpers_over_nonterminals(grammar: Grammar, norm) -> set[str]:
+    """The helpers of `norm` that derive a string with a nonterminal of `grammar`."""
+    found: set[str] = set()
+    grown = True
+    while grown:
+        grown = False
+        for lhs, rhs in norm.binary_productions:
+            if lhs in norm.helper_map and lhs not in found and any(
+                sym in grammar.nonterminals or sym in found for sym in rhs
+            ):
+                found.add(lhs)
+                grown = True
+    return found
+
+
 def test_points_to_grammar_shares_helpers_in_both_orders():
     for assoc in ("right", "left"):
         norm = normalize(PT, assoc=assoc)
         assert len(norm.helper_map) == 9, assoc
         assert all(1 <= len(rhs) <= 2 for _, rhs in norm.binary_productions)
+        # six helpers derive a terminal pair and three span S or -S: of the
+        # four bodies with a nonterminal, two share such a helper in either order
+        assert len(_helpers_over_nonterminals(PT, norm)) == 3, assoc
+
+
+def test_terminal_runs_fold_into_shared_helpers():
+    runs = _hand_grammar("terminal runs")
+    for assoc in ("right", "left"):
+        norm = normalize(runs, assoc=assoc)
+        spans = {rhs for lhs, rhs in norm.binary_productions if lhs in norm.helper_map}
+        # three pair helpers, `c a b`, and three that chain the first body
+        assert {("a", "b"), ("c", "a"), ("b", "c")} <= spans, assoc
+        assert len(norm.helper_map) == 7, assoc
+        assert len(_helpers_over_nonterminals(runs, norm)) == 3, assoc
+
+
+# (pops, joined_rows, summaries over every symbol) on the 111-node PEG of
+# rand_program(40, 80, 2)
+PINNED_PEG_COUNTERS = {
+    "pt": (910, 1589, 2710),
+    "pt_prime": (377, 49, 795),
+}
+
+
+def test_points_to_counters_are_pinned():
+    from palab.crosscheck import rand_program
+
+    graph = build_peg(rand_program(40, 80, 2)).graph
+    assert graph.node_count == 111
+    for name, expected in PINNED_PEG_COUNTERS.items():
+        stats = {}
+        all_pairs(graph, builtin_grammar(name), stats=stats)
+        got = (stats["pops"], stats["joined_rows"], sum(stats["summaries"].values()))
+        assert got == expected, name
 
 
 def test_helper_names_avoid_grammar_symbols():

@@ -77,6 +77,22 @@ def test_binarization_of_a_five_symbol_body():
     assert all(1 <= len(rhs) <= 2 for _, rhs in norm.binary_productions)
     origins = set(norm.helper_map.values())
     assert origins == {("S", ("as", "-d", "S", "r", "d"))}
+    terminal_pairs = {
+        rhs for lhs, rhs in norm.binary_productions
+        if lhs in norm.helper_map and set(rhs) <= g.terminals
+    }
+    assert terminal_pairs == {("as", "-d"), ("r", "d")}
+
+
+def test_dyck_binarization_has_no_terminal_run_to_fold():
+    assert normalize(dyck_grammar(1)).binary_productions == (
+        ("D1", ("S",)), ("S", ("[1", "@1")), ("@1", ("S", "]1")),
+        ("S", ("S", "S")), ("@1", ("]1",)),
+    )
+    assert normalize(dyck_grammar(1), assoc="left").binary_productions == (
+        ("D1", ("S",)), ("S", ("@1", "]1")), ("@1", ("[1", "S")),
+        ("S", ("S", "S")), ("@1", ("[1",)),
+    )
 
 
 def test_table_of_follow_sets_for_points_to_terminals():

@@ -53,7 +53,14 @@ def test_bidirected_everywhere_and_exact_size():
         for src, label, dst in peg.graph.edges:
             assert (dst, inverse_label(label), src) in peg.graph.edges
         assert peg.graph.node_count == 3 * len(prog.variables)
-        assert len(peg.graph.edges) == 2 * len(prog.statement_set) + 4 * len(prog.variables)
+        assert len(peg.graph.edges) == 2 * len(frozenset(prog.statements)) + 4 * len(prog.variables)
+
+
+def test_repeated_statements_give_the_same_peg():
+    for trial in range(20):
+        prog = rand_program(8, 16, seed=500 + trial)
+        repeated = Program(prog.statements + prog.statements[::-1])
+        assert build_peg(repeated) == build_peg(prog)
 
 
 def test_dereference_edges_for_every_variable():
@@ -67,19 +74,19 @@ def test_dereference_edges_for_every_variable():
 def test_round_trip_statements():
     for trial in range(40):
         prog = rand_program(8, 16, seed=800 + trial)
-        assert peg_statements(build_peg(prog)).statement_set == prog.statement_set
+        assert frozenset(peg_statements(build_peg(prog)).statements) == frozenset(prog.statements)
 
 
 def test_round_trip_reduced_walkthrough():
     prog = parse_program(helpers.REDUCED_PROGRAM_TEXT)
-    assert peg_statements(build_peg(prog)).statement_set == prog.statement_set
+    assert frozenset(peg_statements(build_peg(prog)).statements) == frozenset(prog.statements)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_round_trip_any_seed(seed):
     prog = rand_program(10, 20, seed)
-    assert peg_statements(build_peg(prog)).statement_set == prog.statement_set
+    assert frozenset(peg_statements(build_peg(prog)).statements) == frozenset(prog.statements)
 
 
 def test_malformed_peg_is_rejected():
