@@ -9,6 +9,13 @@ index that right joins read when it pops, not when it is derived: w is
 appended to the list of v's sources, so a right join visits sources in pop
 order with no bit walk. Every pair of facts of a binary rule is still
 joined by the time the later of the two pops (see `_closure`).
+Only rows that still have joins to make are queued. A static symbol (a
+terminal, or one whose rules read static symbols only) has its rows
+filled once before the first pop, and a symbol that no rule reads
+(`D1`, `Pt`, `Pt'`) gains facts but never pops. The other rows wait in
+two queues: helper rows pop before nonterminal rows, so the targets that
+helpers derive for a nonterminal row coalesce into its pending delta
+rather than into a later pop.
 Binarization first folds each run of two or more terminals in a longer
 body into one helper, whose facts are at most the graph's paths that spell
 the run, then shares one helper per body suffix (or prefix) across
@@ -142,7 +149,17 @@ class NormalizedGrammar:
     sorted-name order. The rule tables are indexed by code and list, in
     `binary_productions` order: L for each L -> X in `unit_by[X]`, (Y, L)
     for each L -> X Y in `left_of[X]`, and (Y, L) for each L -> Y X in
-    `right_of[X]`. Every field is read-only.
+    `right_of[X]`.
+
+    A symbol is static if it is a terminal or if every rule with it as
+    head reads static symbols only (least fixpoint), and unread if no rule
+    reads it. `queue_of[X]` names the worklist that X's rows enter: None
+    for a static or unread symbol, whose rows never pop; 0 for a helper,
+    whose rows pop first; 1 for a grammar nonterminal. `static_rules`
+    lists, as (L, operand codes), every rule that reads static symbols
+    only: first the rules of the static heads in the order they became
+    static, then the others in `binary_productions` order. Every field is
+    read-only.
     """
 
     binary_productions: tuple[tuple[str, tuple[str, ...]], ...]
@@ -152,6 +169,8 @@ class NormalizedGrammar:
     unit_by: tuple[tuple[int, ...], ...]
     left_of: tuple[tuple[tuple[int, int], ...], ...]
     right_of: tuple[tuple[tuple[int, int], ...], ...]
+    queue_of: tuple[Optional[int], ...]
+    static_rules: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 @lru_cache(maxsize=32)
@@ -176,6 +195,11 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
     `helper_map` records the first production that needed it. Helper
     names are `@<k>` names that the grammar does not use. No other
     function codes symbols.
+
+    Last, the static symbols are found by least fixpoint from the
+    terminals, and each symbol gets the worklist its rows enter
+    (`queue_of`, see `NormalizedGrammar`). In `pt` the six terminal-pair
+    helpers are static; `D1`, `Pt` and `Pt'` are unread.
 
     Results are cached per (grammar value, assoc); every caller shares the
     one read-only value.
@@ -265,6 +289,22 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
             x, y = codes[rhs[0]], codes[rhs[1]]
             left_of[x].append((y, codes[lhs]))
             right_of[y].append((x, codes[lhs]))
+
+    rules_of: dict[str, list[tuple[str, tuple[str, ...]]]] = {sym: [] for sym in codes}
+    for rule in deduped:
+        rules_of[rule[0]].append(rule)
+    static = set(grammar.terminals)
+    static_rules: list[tuple[str, tuple[str, ...]]] = []
+    grown = True
+    while grown:
+        grown = False
+        for sym, own in rules_of.items():
+            if sym not in static and all(s in static for _, rhs in own for s in rhs):
+                static.add(sym)
+                static_rules += own
+                grown = True
+    static_rules += [rule for rule in deduped if rule[0] not in static and static.issuperset(rule[1])]
+    read = {sym for _, rhs in deduped for sym in rhs}
     return NormalizedGrammar(
         binary_productions=tuple(deduped),
         nullable=frozenset(nullable),
@@ -273,6 +313,13 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
         unit_by=tuple(map(tuple, unit_by)),
         left_of=tuple(map(tuple, left_of)),
         right_of=tuple(map(tuple, right_of)),
+        queue_of=tuple(
+            None if sym in static or sym not in read else 0 if sym in helper_map else 1
+            for sym in codes
+        ),
+        static_rules=tuple(
+            (codes[lhs], tuple(codes[sym] for sym in rhs)) for lhs, rhs in static_rules
+        ),
     )
 
 
@@ -328,24 +375,40 @@ def _closure(
     """Semi-naive saturation over bitset rows; returns (out, hit).
 
     out[X][u] is the bitset of the targets v of the summaries (u, X, v), X a
-    symbol code of `norm.codes`; the rule tables are `norm`'s. New targets
-    of a row wait as one coalesced delta per (X, u). Popping a delta D of X
-    at row u first indexes it in the column index in[X], then joins
+    symbol code of `norm.codes`; the rule tables are `norm`'s. Before the
+    loop, the terminal rows are filled from the edges, the rules of
+    `norm.static_rules` are applied once in their order, so each static row
+    is complete before a later rule reads it, and the columns of every
+    static left operand are indexed in row order. New targets of a row
+    with a queue in `norm.queue_of` wait as one coalesced delta per (X, u)
+    in that queue; helper rows pop before nonterminal rows. Popping a delta
+    D of X at row u first indexes it in the column index in[X], then joins
     L -> X Y by OR-ing the out[Y] rows over the bits of D into out[L][u],
     and L -> Y X by OR-ing D into out[L][w] for each w in in[Y][u]. The
     index is kept only for left operands X: in[X][v] is the list of the
-    sources w of the popped facts (w, X, v), in pop order, created on the
-    column's first fact (None before it). An add carries only targets not
-    yet in `out`, so each fact pops once and each source is listed once.
-    Each pair of facts A = (w, Y, u), B = (u, X, v) of a rule
-    L -> Y X is joined: if A pops first, B's right join finds it in in[Y];
-    if B is known first, A's left join reads it in out[X]. Nullable
-    operands are carried by normalize's unit rules, so no empty-path fact
-    enters the worklist; at the fixpoint the diagonal is OR-ed into the
-    rows of the nullable symbols. With a target the loop stops at the first
-    pop after its bit lands, and `out` is partial. A target (s, X, s) with X
-    nullable is answered here, before any edge fact is added: `hit` is True
-    and `out` is all zero.
+    sources w of the facts (w, X, v), in pop order (row order for a static
+    X), created on the column's first fact (None before it). An add
+    carries only targets not yet in `out`, so each fact pops at most once
+    and each source is listed once.
+
+    Each pair of facts A = (w, Y, u), B = (u, X, v) of a rule L -> Y X is
+    joined. If Y is static, B's right join reads the complete in[Y]. If X
+    is static, A's left join reads the complete out[X]. If both are, the
+    rule is one of `norm.static_rules`. If neither is, whatever the pop
+    order: if A pops first, B's right join finds it in in[Y]; if B is known
+    first, A's left join reads it in out[X]. A unit rule L -> X is applied
+    by X's pops, or before the loop for a static X. Rows of a static or
+    unread symbol never pop: no rule joins an unread one. Nullable operands
+    are carried by normalize's unit rules, so no empty-path fact enters the
+    worklist; at the fixpoint the diagonal is OR-ed into the rows of the
+    nullable symbols.
+
+    With a target the loop stops at the first pop after its bit lands,
+    checks once more after the last pop, since a bit can land in a row that
+    never pops, and leaves `out` partial. A target found before the first
+    pop stops at 0 pops. A target (s, X, s) with X nullable is answered
+    here, before any edge fact is added: `hit` is True and `out` is all
+    zero.
 
     When `stats` is a dict it receives `pops`, `joined_rows` (column list
     entries visited by right joins), `summaries` (set bits per symbol of
@@ -361,27 +424,50 @@ def _closure(
     out = [[0] * n for _ in codes]
     inn = [[None] * n if left else None for left in left_of]
     delta = [[0] * n for _ in codes]
-    work: deque[tuple[int, int]] = deque()
-    pop = work.popleft
+    first: deque[tuple[int, int]] = deque()
+    later: deque[tuple[int, int]] = deque()
+    queue = [None if q is None else (first, later)[q] for q in norm.queue_of]
 
     def add(c: int, u: int, new: int):
         """Record the new targets `new` (none known yet) of row u of c."""
         out[c][u] |= new
-        pending = delta[c]
-        if not pending[u]:
-            work.append((c, u))
-        pending[u] |= new
+        q = queue[c]
+        if q is not None:
+            pending = delta[c]
+            if not pending[u]:
+                q.append((c, u))
+            pending[u] |= new
 
     if not hit:
-        for src, label, dst in sorted(graph.edges):
-            add(codes[label], src, 1 << dst)
+        for src, label, dst in graph.edges:
+            out[codes[label]][src] |= 1 << dst
+        for lhs, rhs in norm.static_rules:
+            head, right = out[lhs], out[rhs[-1]]
+            for u, row in enumerate(out[rhs[0]]):
+                if len(rhs) == 2:
+                    acc = 0
+                    for v in _ones(row):
+                        acc |= right[v]
+                    row = acc
+                new = row & ~head[u]
+                if new:
+                    add(lhs, u, new)
+        for c, col in enumerate(inn):
+            if col is not None and queue[c] is None:
+                for u, row in enumerate(out[c]):
+                    for v in _ones(row):
+                        ws = col[v]
+                        if ws is None:
+                            col[v] = [u]
+                        else:
+                            ws.append(u)
 
     pops = joined = 0
-    while work:
+    while first or later:
         if target is not None and out[tc][ts] >> tt & 1:
             hit = True
             break
-        c, u = pop()
+        c, u = (first or later).popleft()
         pops += 1
         d = delta[c][u]
         delta[c][u] = 0
@@ -416,7 +502,9 @@ def _closure(
                 new = d & ~row[w]
                 if new:
                     add(lhs, w, new)
-    # every new bit queues its row, so a landed target is seen by a pop above
+    if target is not None and not hit:
+        # the last pops may land the target in a row that never pops
+        hit = bool(out[tc][ts] >> tt & 1)
     if not hit:
         for sym in norm.nullable:
             rows = out[codes[sym]]

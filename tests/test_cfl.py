@@ -279,8 +279,9 @@ def test_a_pop_joins_with_its_own_column_entry():
     stats = {}
     summaries = all_pairs(g, loop, stats=stats)
     assert summaries.pairs("X") == helpers.reference_saturation(g, loop)["X"] == {(0, 0)}
-    # pops: a, then X; X's right join visits in[X][0] == [0]
-    assert (stats["pops"], stats["joined_rows"]) == (2, 1)
+    # pops: X only (the static a never pops; X -> a is applied before the
+    # loop); X's right join visits in[X][0] == [0]
+    assert (stats["pops"], stats["joined_rows"]) == (1, 1)
 
     g = LabeledDigraph(1, DYCK_LABELS, {(0, "[1", 0), (0, "]1", 0)})
     stats = {}
@@ -288,9 +289,10 @@ def test_a_pop_joins_with_its_own_column_entry():
     expected = helpers.reference_saturation(g, D1)
     for sym in ("D1", "S", "[1", "]1"):
         assert summaries.pairs(sym) == expected[sym] == {(0, 0)}, sym
-    # pops: [1, ]1, @1 (@1 -> ]1), S (S -> [1 @1 visits in[[1][0] == [0]),
-    # D1; S's right join under S -> S S visits in[S][0] == [0]
-    assert (stats["pops"], stats["joined_rows"]) == (5, 2)
+    # pops: @1 (from @1 -> ]1 before the loop; S -> [1 @1 visits the static
+    # in[[1][0] == [0]), then S, whose right join under S -> S S visits
+    # in[S][0] == [0]; the terminals and the unread D1 never pop
+    assert (stats["pops"], stats["joined_rows"]) == (2, 2)
 
 
 def _helpers_over_nonterminals(grammar: Grammar, norm) -> set[str]:
@@ -332,8 +334,8 @@ def test_terminal_runs_fold_into_shared_helpers():
 # (pops, joined_rows, summaries over every symbol) on the 111-node PEG of
 # rand_program(40, 80, 2)
 PINNED_PEG_COUNTERS = {
-    "pt": (910, 1589, 2710),
-    "pt_prime": (377, 49, 795),
+    "pt": (436, 1399, 2710),
+    "pt_prime": (58, 21, 795),
 }
 
 
@@ -347,6 +349,105 @@ def test_points_to_counters_are_pinned():
         all_pairs(graph, builtin_grammar(name), stats=stats)
         got = (stats["pops"], stats["joined_rows"], sum(stats["summaries"].values()))
         assert got == expected, name
+
+
+def test_counters_do_not_depend_on_edge_order():
+    # A frozenset built from the sorted and from the reversed edge list
+    # iterates in different orders; the engine fills its static rows from
+    # that iteration without sorting it.
+    from palab.crosscheck import rand_dyck_graph, rand_program
+
+    peg = build_peg(rand_program(40, 80, 2)).graph
+    cases = [(rand_dyck_graph(20, 40, 5), D1), (peg, PT), (peg, builtin_grammar("pt_prime"))]
+    cases.append((
+        helpers.rand_labeled_graph(["[1", "]1", "[2", "]2"], 12, 30, 4), builtin_grammar("dyck:2")
+    ))
+    reordered = 0
+    for trial, (g, grammar) in enumerate(cases):
+        edges = sorted(g.edges)
+        forward = LabeledDigraph(g.node_count, g.alphabet, edges)
+        backward = LabeledDigraph(g.node_count, g.alphabet, reversed(edges))
+        reordered += list(forward.edges) != list(backward.edges)
+        runs = []
+        for graph in (forward, backward):
+            stats, st_stats = {}, {}
+            summaries = all_pairs(graph, grammar, stats=stats)
+            st_query(graph, grammar, 0, g.node_count - 1, stats=st_stats)
+            runs.append((summaries, stats, st_stats))
+        assert runs[0] == runs[1], trial
+    assert reordered
+
+
+def test_st_query_hits_before_and_after_the_loop():
+    # X -> a b reads terminals only, so X is static: its rows are complete
+    # before the first pop, and nothing is ever queued
+    pair = Grammar({"a", "b"}, {"X"}, [("X", ("a", "b"))], "X")
+    assert normalize(pair).queue_of == (None, None, None)
+    g = LabeledDigraph(3, {"a", "b"}, {(0, "a", 1), (1, "b", 2), (2, "a", 0)})
+    expected = helpers.reference_saturation(g, pair)["X"]
+    assert expected == {(0, 2)}
+    for s in range(3):
+        for t in range(3):
+            stats = {}
+            assert st_query(g, pair, s, t, stats=stats) == ((s, t) in expected), (s, t)
+            assert stats["pops"] == 0
+            assert stats["stopped_at"] == (0 if (s, t) in expected else None), (s, t)
+
+    # the last pop, of S at row 0, lands (0, D1, 2) in the row of D1, which
+    # no rule reads and which is never queued
+    g = LabeledDigraph(3, DYCK_LABELS, {(0, "[1", 1), (1, "]1", 2)})
+    assert normalize(D1).queue_of[normalize(D1).codes["D1"]] is None
+    expected = helpers.reference_saturation(g, D1)["D1"]
+    assert (0, 2) in expected and (2, 0) not in expected
+    full, found, missed = {}, {}, {}
+    all_pairs(g, D1, stats=full)
+    assert st_query(g, D1, 0, 2, stats=found)
+    assert found["stopped_at"] == found["pops"] == full["pops"] == 2
+    assert not st_query(g, D1, 2, 0, stats=missed)
+    assert missed["stopped_at"] is None and missed["pops"] == full["pops"]
+
+
+def test_queue_table_keeps_static_and_unread_rows_off_the_worklist():
+    # no queue: the terminals, the helpers of terminal pairs and the unread
+    # start symbol; first queue: the helpers that span a nonterminal;
+    # second queue: the other nonterminals
+    pair_helpers = {"d1": 0, "dyck:2": 0, "pt": 6, "pt_prime": 4}
+    for name, pairs in pair_helpers.items():
+        grammar = builtin_grammar(name)
+        for assoc in ("right", "left"):
+            norm = normalize(grammar, assoc=assoc)
+            queues: dict = {None: set(), 0: set(), 1: set()}
+            for sym, c in norm.codes.items():
+                queues[norm.queue_of[c]].add(sym)
+            static_helpers = queues[None] - grammar.terminals - {grammar.start}
+            assert len(static_helpers) == pairs, (name, assoc)
+            assert all(
+                set(rhs) <= grammar.terminals
+                for lhs, rhs in norm.binary_productions if lhs in static_helpers
+            ), (name, assoc)
+            assert static_helpers <= norm.helper_map.keys()
+            assert grammar.start in queues[None]
+            assert queues[0] == _helpers_over_nonterminals(grammar, norm), (name, assoc)
+            assert queues[1] == grammar.nonterminals - {grammar.start}, (name, assoc)
+            # the rules over static symbols only: the static heads' first
+            static = queues[None] - {grammar.start}
+            names = {c: sym for sym, c in norm.codes.items()}
+            listed = [(names[lhs], tuple(names[x] for x in rhs)) for lhs, rhs in norm.static_rules]
+            assert sorted(listed) == sorted(
+                rule for rule in norm.binary_productions if static.issuperset(rule[1])
+            ), (name, assoc)
+            heads = [lhs in static for lhs, _ in listed]
+            assert heads == sorted(heads, reverse=True), (name, assoc)
+
+    # pt, right-chained: six terminal-pair helpers, then Pt -> r, the unit
+    # rules S -> s and -S -> -s, and the compensation rules of the helpers
+    # whose body starts with the nullable S or -S
+    norm = normalize(PT)
+    names = {c: sym for sym, c in norm.codes.items()}
+    assert [(names[lhs], tuple(names[x] for x in rhs)) for lhs, rhs in norm.static_rules][6:] == [
+        ("Pt", ("r",)), ("S", ("s",)), ("-S", ("-s",)),
+        ("@3", ("@2",)), ("@6", ("@5",)), ("@8", ("@7",)),
+    ]
 
 
 def test_helper_names_avoid_grammar_symbols():
