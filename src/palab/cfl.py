@@ -100,8 +100,9 @@ def _pt_prime_grammar() -> Grammar:
     return Grammar(PEG_ALPHABET, {PT_PRIME_START, _S, _SBAR}, productions, PT_PRIME_START)
 
 
-def builtin_grammar(name: str) -> Grammar:
-    """Look up a built-in grammar: d1, dyck:<k>, pt, or pt_prime."""
+def builtin_grammar(name: str, max_kinds: Optional[int] = None) -> Grammar:
+    """Look up a built-in grammar: d1, dyck:<k>, pt, or pt_prime. A dyck:<k>
+    with k above `max_kinds` is refused before its 2k terminals are built."""
     key = name.replace("-", "_").lower()
     if key == "d1":
         return dyck_grammar(1)
@@ -109,7 +110,10 @@ def builtin_grammar(name: str) -> Grammar:
         count = key[len("dyck:"):]
         if not is_count(count):
             raise InvalidParamsError(f"bad dyck grammar name {name!r}")
-        return dyck_grammar(int(count))
+        kinds = int(count)
+        if max_kinds is not None and kinds > max_kinds:
+            raise InvalidParamsError(f"{name}: {kinds} bracket kinds exceed the {max_kinds} allowed")
+        return dyck_grammar(kinds)
     if key == "pt":
         return _pt_grammar()
     if key == "pt_prime":

@@ -41,11 +41,15 @@ def _read(path: str) -> str:
 
 
 def _sizes(text: str) -> list[int]:
-    """argparse type for --sizes: a comma-separated list of ASCII counts."""
+    """argparse type for --sizes: a comma-separated list of ASCII counts,
+    each at most sys.maxsize (the bound of a `.lg` node count)."""
     tokens = [tok for tok in text.split(",") if tok]
     if not tokens or not all(map(is_count, tokens)):
         raise argparse.ArgumentTypeError(f"not a comma-separated list of sizes: {text!r}")
-    return [int(tok) for tok in tokens]
+    sizes = [int(tok) for tok in tokens]
+    if max(sizes) > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"size {max(sizes)} exceeds {sys.maxsize}")
+    return sizes
 
 
 def _write(path: str, text: str):
@@ -53,10 +57,11 @@ def _write(path: str, text: str):
         handle.write(text)
 
 
-def _load_grammar(name_or_path: str):
+def _load_grammar(name_or_path: str, graph):
+    """A `.cfg` file, or a built-in one with no more Dyck kinds than the graph has labels."""
     if name_or_path.endswith(".cfg"):
         return textio.parse_grammar(_read(name_or_path))
-    return builtin_grammar(name_or_path)
+    return builtin_grammar(name_or_path, max_kinds=len(graph.alphabet))
 
 
 def _print_stats(stats):
@@ -84,7 +89,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_reach(args) -> int:
     graph = textio.parse_graph(_read(args.graph))
-    grammar = _load_grammar(args.grammar)
+    grammar = _load_grammar(args.grammar, graph)
     if (args.source is None) != (args.target is None):
         raise AnalysisError("--source and --target must be given together")
     stats = {} if args.stats else None

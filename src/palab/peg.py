@@ -21,15 +21,6 @@ from .model import (
     Variable,
 )
 
-LABEL_R = "r"
-LABEL_S = "s"
-LABEL_AS = "as"
-LABEL_SA = "sa"
-LABEL_D = "d"
-
-PEG_BASE_LABELS = (LABEL_R, LABEL_S, LABEL_AS, LABEL_SA, LABEL_D)
-PEG_ALPHABET = frozenset(PEG_BASE_LABELS) | frozenset("-" + t for t in PEG_BASE_LABELS)
-
 
 def inverse_label(label: str) -> str:
     return label[1:] if label.startswith("-") else "-" + label
@@ -40,28 +31,24 @@ class ExprForm(enum.Enum):
     VAR = 1    # v
     DEREF = 2  # *v
 
-    def render(self, var: Variable) -> str:
-        return _FORM_PREFIXES[self.value][1] + var.name
 
+# the forms and their spelled prefixes in node order (&v, v, *v); `build_peg`
+# iterates a tuple, since iterating the enum class goes through `EnumMeta`
+_FORMS = tuple(ExprForm)
+_PREFIXES = ("&", "", "*")
 
-# each form with its spelled prefix, in node order (&v, v, *v)
-_FORM_PREFIXES = ((ExprForm.ADDR, "&"), (ExprForm.VAR, ""), (ExprForm.DEREF, "*"))
-
-
-# statement kind -> (label, source form, target form) of its program edge
-_STATEMENT_EDGE = {
-    StatementKind.ADDRESS_OF: (LABEL_R, ExprForm.VAR, ExprForm.ADDR),    # a -r-> &b
-    StatementKind.ASSIGN: (LABEL_S, ExprForm.VAR, ExprForm.VAR),         # a -s-> b
-    StatementKind.ASSIGN_STAR: (LABEL_AS, ExprForm.VAR, ExprForm.DEREF), # a -as-> *b
-    StatementKind.STAR_ASSIGN: (LABEL_SA, ExprForm.DEREF, ExprForm.VAR), # *a -sa-> b
-}
-# `_STATEMENT_EDGE` as `build_peg` reads it: kind -> (label, barred label,
-# source offset, target offset), an offset being a form's place in (&v, v, *v)
+# statement kind -> (label, barred label, source offset, target offset) of its
+# program edge, an offset being a form's place in (&v, v, *v)
 _EDGE_OF_KIND = {
-    kind: (label, inverse_label(label), sform.value, dform.value)
-    for kind, (label, sform, dform) in _STATEMENT_EDGE.items()
+    kind: (label, inverse_label(label), source.value, target.value)
+    for kind, label, source, target in (
+        (StatementKind.ADDRESS_OF, "r", ExprForm.VAR, ExprForm.ADDR),     # a -r-> &b
+        (StatementKind.ASSIGN, "s", ExprForm.VAR, ExprForm.VAR),          # a -s-> b
+        (StatementKind.ASSIGN_STAR, "as", ExprForm.VAR, ExprForm.DEREF),  # a -as-> *b
+        (StatementKind.STAR_ASSIGN, "sa", ExprForm.DEREF, ExprForm.VAR),  # *a -sa-> b
+    )
 }
-_LABEL_D_BAR = inverse_label(LABEL_D)
+PEG_ALPHABET = frozenset({"d", "-d"}.union(*((label, bar) for label, bar, _, _ in _EDGE_OF_KIND.values())))
 
 
 @dataclass(frozen=True)
@@ -73,18 +60,17 @@ class PEG:
 
     def node(self, var: Variable, form: ExprForm) -> int:
         """Node id of an expression; the layout is (&v, v, *v) per variable."""
-        base = 3 * self._var_index[var]
-        return base + form.value
+        return 3 * self._var_index[var] + form.value
 
     @cached_property
     def _var_index(self) -> dict[Variable, int]:
-        return {var: i // 3 for i, (var, form) in enumerate(self.expr_of) if form is ExprForm.VAR}
+        return {var: i for i, (var, _) in enumerate(self.expr_of[1::3])}
 
 
 def build_peg(program: Program) -> PEG:
     """Construct the expression graph of a normalized program.
 
-    Per statement, one program edge from `_STATEMENT_EDGE`. Per variable
+    Per statement, one program edge from `_EDGE_OF_KIND`. Per variable
     v, the dereference edges &v -d-> v and v -d-> *v are always present.
     Every edge also gets its reverse with the barred label. Repeated
     statements give the same edge, so the edge set holds it once.
@@ -94,10 +80,10 @@ def build_peg(program: Program) -> PEG:
     edges: set[tuple[int, str, int]] = set()
     add = edges.add
     for base in index.values():
-        add((base, LABEL_D, base + 1))
-        add((base + 1, _LABEL_D_BAR, base))
-        add((base + 1, LABEL_D, base + 2))
-        add((base + 2, _LABEL_D_BAR, base + 1))
+        add((base, "d", base + 1))
+        add((base + 1, "-d", base))
+        add((base + 1, "d", base + 2))
+        add((base + 2, "-d", base + 1))
     for kind, lhs, rhs in program.statements:
         label, bar, soff, doff = _EDGE_OF_KIND[kind]
         src = index[lhs] + soff
@@ -105,29 +91,27 @@ def build_peg(program: Program) -> PEG:
         add((src, label, dst))
         add((dst, bar, src))
 
-    expr_of = []
-    names = []
-    for v in variables:
-        for form, prefix in _FORM_PREFIXES:
-            expr_of.append((v, form))
-            names.append(prefix + v.name)
+    names = [prefix + v.name for v in variables for prefix in _PREFIXES]
+    expr_of = tuple((v, form) for v in variables for form in _FORMS)
     graph = LabeledDigraph(3 * len(variables), PEG_ALPHABET, edges, names or None)
-    return PEG(graph, tuple(expr_of))
+    return PEG(graph, expr_of)
 
 
 def peg_statements(peg: PEG) -> Program:
     """Recover the statement set encoded by a PEG's program edges."""
-    kind_of = {label: kind for kind, (label, _, _) in _STATEMENT_EDGE.items()}
+    edge_of_label = {
+        label: (kind, (soff, doff)) for kind, (label, _, soff, doff) in _EDGE_OF_KIND.items()
+    }
     out: list[Statement] = []
     for src, label, dst in sorted(peg.graph.edges):
-        if label not in kind_of:
+        if label not in edge_of_label:
             continue
+        kind, offsets = edge_of_label[label]
         svar, sform = peg.expr_of[src]
         dvar, dform = peg.expr_of[dst]
-        kind = kind_of[label]
-        if (label, sform, dform) != _STATEMENT_EDGE[kind]:
+        if (sform.value, dform.value) != offsets:
             raise MalformedPegError(
-                f"{label}-edge joins {sform.render(svar)} and {dform.render(dvar)}, "
+                f"{label}-edge joins {peg.graph.name_of(src)} and {peg.graph.name_of(dst)}, "
                 "which reads back as no statement"
             )
         out.append(Statement(kind, svar, dvar))

@@ -9,6 +9,7 @@ from palab.model import (
     DYCK_LABELS,
     Grammar,
     InvalidNodeError,
+    InvalidParamsError,
     LabeledDigraph,
 )
 from palab.peg import PEG_ALPHABET, build_peg
@@ -517,3 +518,14 @@ def test_normalize_compiles_symbol_codes_and_rule_tables():
                 assert [(names[lhs], (names[y], sym)) for y, lhs in norm.right_of[x]] == [
                     rule for rule in rules if len(rule[1]) == 2 and rule[1][1] == sym
                 ], (grammar.start, assoc, sym)
+
+
+def test_normalize_rejects_an_unknown_association():
+    with pytest.raises(InvalidParamsError, match="unknown binarization order 'middle'"):
+        normalize(D1, assoc="middle")
+
+
+def test_builtin_dyck_count_is_capped_by_max_kinds():
+    assert builtin_grammar("dyck:2", max_kinds=2) == builtin_grammar("dyck:2")
+    with pytest.raises(InvalidParamsError, match="3 bracket kinds exceed the 2 allowed"):
+        builtin_grammar("dyck:3", max_kinds=2)

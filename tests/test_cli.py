@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import palab.cfl
 from palab.cli import main
 
 import helpers
@@ -209,7 +210,9 @@ def test_bench_rows_carry_the_instance_sizes(capsys):
     assert capsys.readouterr().out.startswith("nodes=10 edges=20 suite=reach-d1 ")
 
 
-@pytest.mark.parametrize("sizes", ["10,x", "-5", "1.5", "٣", "1_0", "+3", "4, 5", "", ","])
+@pytest.mark.parametrize(
+    "sizes", ["10,x", "-5", "1.5", "٣", "1_0", "+3", "4, 5", "", ",", "100000000000000000000"]
+)
 def test_bench_rejects_bad_sizes_with_usage(sizes, capsys):
     with pytest.raises(SystemExit) as err:
         main(["bench", "--sizes", sizes])
@@ -388,3 +391,41 @@ def test_reach_stats_for_an_empty_path_list_the_all_pairs_keys(workdir, capsys):
         summaries.append(json.loads(capsys.readouterr().err)["summaries"])
     assert summaries[1].keys() == summaries[0].keys()
     assert set(summaries[1].values()) == {0} and summaries[0]["D1"] > 0
+
+
+@pytest.mark.parametrize("k", ["100000000000000000000", "3"])
+def test_dyck_count_above_the_label_count_exits_2_before_building(workdir, capsys, monkeypatch, k):
+    def refuse(count):
+        raise AssertionError(f"dyck_grammar({count}) was built")
+
+    monkeypatch.setattr(palab.cfl, "dyck_grammar", refuse)
+    graph = workdir / "g.lg"
+    graph.write_text("nodes 3\n0 [1 1\n1 ]1 2\n")
+    assert main(["reach", str(graph), "--grammar", f"dyck:{k}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: dyck:{k}: {k} bracket kinds exceed the 2 allowed\n"
+
+
+def test_dyck_count_up_to_the_label_count_runs(workdir, capsys):
+    graph = workdir / "g.lg"
+    graph.write_text("nodes 3\n0 [1 1\n1 ]1 2\n")
+    for grammar in ("d1", "dyck:1", "dyck:2"):
+        assert main(["reach", str(graph), "--grammar", grammar]) == 0
+        assert capsys.readouterr().out == "0 -> 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reach", "G", "--grammar", "d1", "--source", "0"], "--source and --target must be given together"),
+        (["reduce", "bmm-to-d1", "A", "-o", "OUT"], "bmm-to-d1 needs two matrix files"),
+        (["reduce", "d1-to-pa", "G", "G", "-o", "OUT"], "d1-to-pa needs one graph file"),
+        (["reduce", "triangle-to-d1", "G", "G", "-o", "OUT"], "triangle-to-d1 needs one graph file"),
+    ],
+)
+def test_wrong_argument_combinations_exit_2(workdir, capsys, argv, message):
+    (workdir / "g.lg").write_text("nodes 2\n0 [1 1\n")
+    paths = {"G": workdir / "g.lg", "A": workdir / "A.bm", "OUT": workdir / "out"}
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (workdir / "out").exists()

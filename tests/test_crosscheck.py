@@ -1,6 +1,7 @@
 import pytest
 
 import palab.crosscheck as cc
+from palab.cfl import PT_PRIME_START
 from palab.cli import main
 from palab.crosscheck import (
     CheckReport,
@@ -12,12 +13,14 @@ from palab.crosscheck import (
     rand_dyck_graph,
     rand_matrix,
     rand_program,
+    rand_simple_graph,
     triangle_oracle,
     worked_matrices,
     worked_triangle_graph,
 )
 from palab.model import (
     BooleanMatrix,
+    DimensionMismatchError,
     InvalidParamsError,
     LabeledDigraph,
     SelfLoopError,
@@ -144,3 +147,73 @@ def test_trials_hand_the_generators_fresh_seeds(suite, monkeypatch):
     assert suite(seed).passed
     assert drawn and len(set(drawn)) == len(drawn)
     assert not set(drawn) & {seed * 1000003 + k for k in range(200)}
+
+
+def test_oracle_refuses_matrices_of_two_sizes():
+    with pytest.raises(DimensionMismatchError, match="2 vs 3"):
+        bmm_oracle(BooleanMatrix.identity(2), BooleanMatrix.identity(3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rand_matrix(0, 0.3, 0),
+        lambda: rand_matrix(2, 1.5, 0),
+        lambda: rand_program(0, 1, 0),
+        lambda: rand_program(1, 0, 0),
+        lambda: rand_dyck_graph(-1, 0, 0),
+        lambda: rand_dyck_graph(2, -1, 0),
+        lambda: rand_simple_graph(-1, 0.3, 0),
+        lambda: rand_simple_graph(3, -0.1, 0),
+    ],
+)
+def test_generators_refuse_bad_parameters(call):
+    with pytest.raises(InvalidParamsError, match="need "):
+        call()
+
+
+class _Negated:
+    """A summary set whose every `holds` answer is flipped."""
+
+    def __init__(self, summaries):
+        self.summaries = summaries
+
+    def holds(self, *args):
+        return not self.summaries.holds(*args)
+
+
+def _negate_matrix(product):
+    return lambda a, b: BooleanMatrix([[1 - bit for bit in row] for row in product(a, b).bits])
+
+
+def _negate_prime(all_pairs):
+    def wrapper(graph, grammar):
+        summaries = all_pairs(graph, grammar)
+        return _Negated(summaries) if grammar.start == PT_PRIME_START else summaries
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "suite, run, engine, negate",
+    [
+        ("bmm", lambda s: check_bmm_chain(8, 3, s), "multiply_via_d1", _negate_matrix),
+        ("peg", lambda s: check_peg_equivalence(3, s), "all_pairs", lambda f: lambda *a: _Negated(f(*a))),
+        ("pt-prime", lambda s: check_pt_prime(3, s), "all_pairs", _negate_prime),
+        ("triangle", lambda s: check_triangle_chain(8, 3, s), "st_query", lambda f: lambda *a: not f(*a)),
+    ],
+)
+def test_a_flipped_engine_answer_fails_the_suite(suite, run, engine, negate, monkeypatch, capsys):
+    """Every trial of a suite whose engine answers wrong is a mismatch that
+    names its trial seed, and `palab crosscheck` (default --max-n 8) prints
+    the same report and exits 1."""
+    monkeypatch.setattr(cc, engine, negate(getattr(cc, engine)))
+    seed = 3
+    trial_seeds = [seed * 1000003 + k for k in range(3)]
+    report = run(seed)
+    assert not report.passed
+    assert sorted({mismatch[0] for mismatch in report.mismatches}) == trial_seeds
+    assert main(["crosscheck", "--suite", suite, "--trials", "3", "--seed", str(seed)]) == 1
+    out = capsys.readouterr().out
+    assert out == report.summary_text() + "\n"
+    assert all(f"MISMATCH seed={tseed} " in out for tseed in trial_seeds)

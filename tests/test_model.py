@@ -3,6 +3,7 @@ import pickle
 import pytest
 
 from palab.model import (
+    BadEdgeLabelError,
     BooleanMatrix,
     DimensionMismatchError,
     InvalidNodeError,
@@ -169,3 +170,19 @@ def test_node_names_and_id_tokens_follow_one_rule():
     for token in ("١", "1_0", "--1"):
         with pytest.raises(InvalidNodeError):
             LabeledDigraph(2, {"e"}, set()).resolve(token)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: LabeledDigraph(-1, {"e"}, set()), InvalidParamsError, "non-negative"),
+        (lambda: LabeledDigraph(2, {"e"}, {(0, "f", 1)}), BadEdgeLabelError, "'f' not in alphabet"),
+        (lambda: LabeledDigraph(2, {"e"}, set()).resolve("2"), InvalidNodeError, "node 2 out of range"),
+        (lambda: BooleanMatrix([]), InvalidParamsError, "non-empty"),
+        (lambda: Grammar({"a"}, {"S"}, [("a", ("a",))], "S"), GrammarError, "lhs 'a' is not a nonterminal"),
+    ],
+    ids=["negative-nodes", "edge-label", "resolve-range", "empty-matrix", "terminal-head"],
+)
+def test_values_refuse_bad_parts(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

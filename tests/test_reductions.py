@@ -17,13 +17,22 @@ from palab.model import (
     BooleanMatrix,
     DimensionMismatchError,
     DYCK_LABELS,
+    InvalidParamsError,
     LabeledDigraph,
+    ReductionMap,
     SelfLoopError,
     StatementKind,
     StatementProfile,
 )
 from palab.peg import ExprForm, build_peg
-from palab.reductions import bmm_to_d1, d1_to_program, multiply_via_d1, triangle_to_st_d1
+from palab.reductions import (
+    D1Instance,
+    StInstance,
+    bmm_to_d1,
+    d1_to_program,
+    multiply_via_d1,
+    triangle_to_st_d1,
+)
 from palab.textio import parse_program, serialize_program
 
 import helpers
@@ -353,3 +362,15 @@ def test_triangle_layer_names_never_read_as_node_ids():
     inst = triangle_to_st_d1(g)
     assert inst.graph.node_names[:4] == ("n0_0", "n0_1", "n0_2", "n0_3")
     assert st_query(inst.graph, D1, inst.s, inst.t)
+
+
+def test_instances_check_their_own_shape():
+    rmap = ReductionMap((), {})
+    with pytest.raises(BadEdgeLabelError, match="two Dyck-1 labels"):
+        D1Instance(LabeledDigraph(2, {"e"}, {(0, "e", 1)}), rmap)
+    path = LabeledDigraph(3, DYCK_LABELS, {(0, "[1", 1), (1, "]1", 2)})
+    assert StInstance(path, 0, 2, rmap).t == 2
+    with pytest.raises(InvalidParamsError, match="source node must have no incoming edges"):
+        StInstance(path, 1, 2, rmap)
+    with pytest.raises(InvalidParamsError, match="sink node must have no outgoing edges"):
+        StInstance(path, 0, 1, rmap)

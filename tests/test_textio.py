@@ -278,3 +278,27 @@ def test_importing_textio_loads_only_the_model():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["palab", "palab.model", "palab.textio"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nodes 2\nname 0\n", "line 2: expected `name <id> <name>`"),
+        ("nodes 2\nname x a\n", "line 2: bad node id 'x'"),
+    ],
+)
+def test_graph_name_line_errors(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_graph(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("start S T\nterminals a\nS -> a\n", "line 1: expected `start <symbol>`"),
+        ("start S\nterminals a\nS a\n", "line 3: unrecognized grammar line: 'S a'"),
+    ],
+)
+def test_grammar_line_errors(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_grammar(text)
