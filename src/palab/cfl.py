@@ -9,13 +9,16 @@ index that right joins read when it pops, not when it is derived: w is
 appended to the list of v's sources, so a right join visits sources in pop
 order with no bit walk. Every pair of facts of a binary rule is still
 joined by the time the later of the two pops (see `_closure`).
-Only rows that still have joins to make are queued. A static symbol (a
-terminal, or one whose rules read static symbols only) has its rows
-filled once before the first pop, and a symbol that no rule reads
-(`D1`, `Pt`, `Pt'`) gains facts but never pops. The other rows wait in
-two queues: helper rows pop before nonterminal rows, so the targets that
-helpers derive for a nonterminal row coalesce into its pending delta
-rather than into a later pop.
+Only work that a join reads is done. A static symbol (a terminal, or one
+whose rules read static symbols only) has its rows filled once before the
+first pop, walking only their non-empty rows, and a symbol that no rule
+reads (`D1`, `Pt`, `Pt'`) gains facts but never pops. A column index is
+kept only for a left operand whose right partner pops: in `pt` for `S`,
+`-S` and three helpers, not for the terminals `as`, `d`, `-d`, `r` and
+`-sa`, whose partners are static. The rows that still have joins to make
+wait in two queues: helper rows pop before nonterminal rows, so the
+targets that helpers derive for a nonterminal row coalesce into its
+pending delta rather than into a later pop.
 Binarization first folds each run of two or more terminals in a longer
 body into one helper, whose facts are at most the graph's paths that spell
 the run, then shares one helper per body suffix (or prefix) across
@@ -31,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import compress, groupby
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -43,6 +46,7 @@ from .model import (
     LabeledDigraph,
     _ones,
     is_count,
+    to_int,
 )
 from .peg import PEG_ALPHABET
 
@@ -110,7 +114,7 @@ def builtin_grammar(name: str, max_kinds: Optional[int] = None) -> Grammar:
         count = key[len("dyck:"):]
         if not is_count(count):
             raise InvalidParamsError(f"bad dyck grammar name {name!r}")
-        kinds = int(count)
+        kinds = to_int(count)
         if max_kinds is not None and kinds > max_kinds:
             raise InvalidParamsError(f"{name}: {kinds} bracket kinds exceed the {max_kinds} allowed")
         return dyck_grammar(kinds)
@@ -159,11 +163,13 @@ class NormalizedGrammar:
     head reads static symbols only (least fixpoint), and unread if no rule
     reads it. `queue_of[X]` names the worklist that X's rows enter: None
     for a static or unread symbol, whose rows never pop; 0 for a helper,
-    whose rows pop first; 1 for a grammar nonterminal. `static_rules`
-    lists, as (L, operand codes), every rule that reads static symbols
-    only: first the rules of the static heads in the order they became
-    static, then the others in `binary_productions` order. Every field is
-    read-only.
+    whose rows pop first; 1 for a grammar nonterminal. `indexed[X]` is
+    True iff some rule L -> X Y has a Y with a queue: only a pop of such a
+    Y reads the column index of X, so no other symbol gets one.
+    `static_rules` lists, as (L, operand codes), every rule that reads
+    static symbols only: first the rules of the static heads in the order
+    they became static, then the others in `binary_productions` order.
+    Every field is read-only.
     """
 
     binary_productions: tuple[tuple[str, tuple[str, ...]], ...]
@@ -174,6 +180,7 @@ class NormalizedGrammar:
     left_of: tuple[tuple[tuple[int, int], ...], ...]
     right_of: tuple[tuple[tuple[int, int], ...], ...]
     queue_of: tuple[Optional[int], ...]
+    indexed: tuple[bool, ...]
     static_rules: tuple[tuple[int, tuple[int, ...]], ...]
 
 
@@ -201,9 +208,10 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
     function codes symbols.
 
     Last, the static symbols are found by least fixpoint from the
-    terminals, and each symbol gets the worklist its rows enter
-    (`queue_of`, see `NormalizedGrammar`). In `pt` the six terminal-pair
-    helpers are static; `D1`, `Pt` and `Pt'` are unread.
+    terminals, each symbol gets the worklist its rows enter (`queue_of`,
+    see `NormalizedGrammar`), and the left operands that a popping right
+    operand joins get a column index (`indexed`). In `pt` the six
+    terminal-pair helpers are static; `D1`, `Pt` and `Pt'` are unread.
 
     Results are cached per (grammar value, assoc); every caller shares the
     one read-only value.
@@ -309,6 +317,10 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
                 grown = True
     static_rules += [rule for rule in deduped if rule[0] not in static and static.issuperset(rule[1])]
     read = {sym for _, rhs in deduped for sym in rhs}
+    queue_of = tuple(
+        None if sym in static or sym not in read else 0 if sym in helper_map else 1
+        for sym in codes
+    )
     return NormalizedGrammar(
         binary_productions=tuple(deduped),
         nullable=frozenset(nullable),
@@ -317,10 +329,8 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
         unit_by=tuple(map(tuple, unit_by)),
         left_of=tuple(map(tuple, left_of)),
         right_of=tuple(map(tuple, right_of)),
-        queue_of=tuple(
-            None if sym in static or sym not in read else 0 if sym in helper_map else 1
-            for sym in codes
-        ),
+        queue_of=queue_of,
+        indexed=tuple(any(queue_of[y] is not None for y, _ in left) for left in left_of),
         static_rules=tuple(
             (codes[lhs], tuple(codes[sym] for sym in rhs)) for lhs, rhs in static_rules
         ),
@@ -383,21 +393,24 @@ def _closure(
     loop, the terminal rows are filled from the edges, the rules of
     `norm.static_rules` are applied once in their order, so each static row
     is complete before a later rule reads it, and the columns of every
-    static left operand are indexed in row order. New targets of a row
-    with a queue in `norm.queue_of` wait as one coalesced delta per (X, u)
-    in that queue; helper rows pop before nonterminal rows. Popping a delta
-    D of X at row u first indexes it in the column index in[X], then joins
+    static symbol of `norm.indexed` are indexed in row order; both walk
+    only the non-empty rows. New targets of a row with a queue in
+    `norm.queue_of` wait as one coalesced delta per (X, u) in that queue;
+    helper rows pop before nonterminal rows. Popping a delta D of X at row
+    u first indexes it in the column index in[X], if X has one, then joins
     L -> X Y by OR-ing the out[Y] rows over the bits of D into out[L][u],
     and L -> Y X by OR-ing D into out[L][w] for each w in in[Y][u]. The
-    index is kept only for left operands X: in[X][v] is the list of the
-    sources w of the facts (w, X, v), in pop order (row order for a static
-    X), created on the column's first fact (None before it). An add
-    carries only targets not yet in `out`, so each fact pops at most once
-    and each source is listed once.
+    index is kept only for the symbols of `norm.indexed`, the left operands
+    X of a rule L -> X Y whose Y pops, since only such a pop reads in[X]:
+    in[X][v] is the list of the sources w of the facts (w, X, v), in pop
+    order (row order for a static X), created on the column's first fact
+    (None before it). An add carries only targets not yet in `out`, so
+    each fact pops at most once and each source is listed once.
 
     Each pair of facts A = (w, Y, u), B = (u, X, v) of a rule L -> Y X is
     joined. If Y is static, B's right join reads the complete in[Y]. If X
-    is static, A's left join reads the complete out[X]. If both are, the
+    is static, A's left join reads the complete out[X], and no join reads
+    in[Y] for this rule. If both are, the
     rule is one of `norm.static_rules`. If neither is, whatever the pop
     order: if A pops first, B's right join finds it in in[Y]; if B is known
     first, A's left join reads it in out[X]. A unit rule L -> X is applied
@@ -426,7 +439,7 @@ def _closure(
         hit = ts == tt and target[1] in norm.nullable
     n = graph.node_count
     out = [[0] * n for _ in codes]
-    inn = [[None] * n if left else None for left in left_of]
+    inn = [[None] * n if kept else None for kept in norm.indexed]
     delta = [[0] * n for _ in codes]
     first: deque[tuple[int, int]] = deque()
     later: deque[tuple[int, int]] = deque()
@@ -445,9 +458,11 @@ def _closure(
     if not hit:
         for src, label, dst in graph.edges:
             out[codes[label]][src] |= 1 << dst
+        nodes = range(n)
         for lhs, rhs in norm.static_rules:
-            head, right = out[lhs], out[rhs[-1]]
-            for u, row in enumerate(out[rhs[0]]):
+            head, rows, right = out[lhs], out[rhs[0]], out[rhs[-1]]
+            for u in compress(nodes, rows):
+                row = rows[u]
                 if len(rhs) == 2:
                     acc = 0
                     for v in _ones(row):
@@ -458,8 +473,9 @@ def _closure(
                     add(lhs, u, new)
         for c, col in enumerate(inn):
             if col is not None and queue[c] is None:
-                for u, row in enumerate(out[c]):
-                    for v in _ones(row):
+                rows = out[c]
+                for u in compress(nodes, rows):
+                    for v in _ones(rows[u]):
                         ws = col[v]
                         if ws is None:
                             col[v] = [u]
@@ -475,16 +491,18 @@ def _closure(
         pops += 1
         d = delta[c][u]
         delta[c][u] = 0
-        col = inn[c]
-        if col is not None:
+        left = left_of[c]
+        if left:
             vs = _ones(d)
-            for v in vs:
-                ws = col[v]
-                if ws is None:
-                    col[v] = [u]
-                else:
-                    ws.append(u)
-            for y, lhs in left_of[c]:
+            col = inn[c]
+            if col is not None:
+                for v in vs:
+                    ws = col[v]
+                    if ws is None:
+                        col[v] = [u]
+                    else:
+                        ws.append(u)
+            for y, lhs in left:
                 rows = out[y]
                 acc = 0
                 for v in vs:

@@ -20,7 +20,7 @@ from . import crosscheck as cc
 from . import textio
 from .andersen import solve
 from .cfl import all_pairs, builtin_grammar, st_query
-from .model import AnalysisError, ParseError, StatementProfile, _select, is_count
+from .model import AnalysisError, ParseError, StatementProfile, _select, is_count, to_int
 from .reductions import bmm_to_d1, d1_to_program, triangle_to_st_d1
 
 
@@ -46,7 +46,7 @@ def _sizes(text: str) -> list[int]:
     tokens = [tok for tok in text.split(",") if tok]
     if not tokens or not all(map(is_count, tokens)):
         raise argparse.ArgumentTypeError(f"not a comma-separated list of sizes: {text!r}")
-    sizes = [int(tok) for tok in tokens]
+    sizes = [to_int(tok) for tok in tokens]
     if max(sizes) > sys.maxsize:
         raise argparse.ArgumentTypeError(f"size {max(sizes)} exceeds {sys.maxsize}")
     return sizes

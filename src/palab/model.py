@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -217,6 +218,40 @@ is_node_id = re.compile(r"-?[0-9]+").fullmatch
 # Counts (graph and matrix sizes, `dyck:<k>`, `bench --sizes`) are ASCII
 # digits only: `int()` alone would also take `٣`, `+3`, `1_0` and ` 3`.
 is_count = re.compile(r"[0-9]+").fullmatch
+# No count or node id exceeds sys.maxsize, so none has more digits than it.
+_MAX_DIGITS = len(str(sys.maxsize))
+
+
+class _Overlong(int):
+    """An integer token with more digits than sys.maxsize, leading zeros
+    aside. It compares as one past sys.maxsize, with the token's sign, so
+    every range check rejects it, and it prints as the token's digits, so
+    an error message reads as it would for any other value; the digits are
+    never converted (`int()` refuses more than 4300 of them)."""
+
+    def __new__(cls, text: str):
+        self = super().__new__(cls, -sys.maxsize - 1 if text[0] == "-" else sys.maxsize + 1)
+        self.text = text
+        return self
+
+    def __str__(self) -> str:
+        return self.text
+
+    __repr__ = __str__
+
+
+def to_int(token: str) -> int:
+    """The value of a token that `is_node_id` or `is_count` matched, at
+    any length: an `_Overlong` when its digits, leading zeros aside,
+    outnumber those of sys.maxsize."""
+    if len(token) <= _MAX_DIGITS:
+        return int(token)
+    digits = token.lstrip("-").lstrip("0")
+    negative = token[0] == "-"
+    if len(digits) > _MAX_DIGITS:
+        return _Overlong("-" + digits if negative else digits)
+    value = int(digits or "0")
+    return -value if negative else value
 
 
 @dataclass(frozen=True)
@@ -275,7 +310,7 @@ class LabeledDigraph:
             return node
         if not is_node_id(token):
             raise InvalidNodeError(f"unknown node {token!r}")
-        node = int(token)
+        node = to_int(token)
         if not 0 <= node < self.node_count:
             raise InvalidNodeError(f"node {node} out of range")
         return node

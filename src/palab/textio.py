@@ -37,6 +37,7 @@ from .model import (
     Variable,
     is_count,
     is_node_id,
+    to_int,
 )
 
 _WS = r"[^\S\n]*"  # whitespace inside one line
@@ -128,7 +129,7 @@ def parse_graph(text: str) -> LabeledDigraph:
         raise ParseError("expected `nodes <n>` header", lineno)
     if not is_count(parts[1]):
         raise ParseError(f"bad node count {parts[1]!r}", lineno)
-    node_count = int(parts[1])
+    node_count = to_int(parts[1])
     if node_count > sys.maxsize:
         raise ParseError(f"node count {node_count} exceeds {sys.maxsize}", lineno)
 
@@ -146,7 +147,7 @@ def parse_graph(text: str) -> LabeledDigraph:
         if node is not None:
             return node
         if is_node_id(token):
-            node = int(token)
+            node = to_int(token)
             if not 0 <= node < node_count:
                 raise ParseError(f"node {node} out of range", lineno)
         else:
@@ -170,7 +171,7 @@ def parse_graph(text: str) -> LabeledDigraph:
                 raise ParseError("expected `name <id> <name>`", lineno)
             if not is_node_id(parts[1]):
                 raise ParseError(f"bad node id {parts[1]!r}", lineno)
-            node = int(parts[1])
+            node = to_int(parts[1])
             if not 0 <= node < node_count:
                 raise ParseError(f"node {node} out of range", lineno)
             if is_node_id(parts[2]):
@@ -233,7 +234,7 @@ def parse_matrix(text: str) -> BooleanMatrix:
     lineno, header = lines[0]
     if not is_count(header):
         raise ParseError(f"bad matrix size {header!r}", lineno)
-    n = int(header)
+    n = to_int(header)
     rows = lines[1:]
     if len(rows) != n:
         raise ParseError(f"expected {n} rows, got {len(rows)}")

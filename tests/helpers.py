@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,6 +29,8 @@ from palab.model import (
     StatementProfile,
     Variable,
     _ones,
+    is_count,
+    is_node_id,
 )
 
 EXAMPLE_PROGRAM_TEXT = "a = &b\nb = &d\nc = *a\n"
@@ -426,3 +429,97 @@ def reference_parse_program(text: str) -> Program:
             b = interned.get(rhs) or interned.setdefault(rhs, Variable(rhs))
             statements.append(Statement(kind, a, b))
     return Program(statements)
+
+
+# `textio.parse_graph` as it stood before long digit tokens were read without
+# `int()`, kept verbatim as the reference for the differential `.lg` test.
+# Run it with `sys.set_int_max_str_digits(0)` to read long tokens at all.
+def reference_parse_graph(text: str) -> LabeledDigraph:
+    """Header `nodes <n>`, optional `alphabet <labels...>` and
+    `name <id> <name>` lines, then edges `<src> <label> <dst>` where node
+    tokens are ids (`-?[0-9]+`) or names (fresh names take dense ids in
+    appearance order; no name may look like an id). Duplicate edges
+    collapse silently. The `alphabet` lines, wherever they sit, declare the
+    alphabet together, and it must list every edge label; without them
+    the alphabet is the set of edge labels."""
+    lines = list(_reference_content_lines(text))
+    if not lines:
+        raise ParseError("empty graph file: missing `nodes <n>` header")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "nodes":
+        raise ParseError("expected `nodes <n>` header", lineno)
+    if not is_count(parts[1]):
+        raise ParseError(f"bad node count {parts[1]!r}", lineno)
+    node_count = int(parts[1])
+    if node_count > sys.maxsize:
+        raise ParseError(f"node count {node_count} exceeds {sys.maxsize}", lineno)
+
+    alphabet: set[str] = set()
+    alphabet_declared = False
+    labels: dict[str, int] = {}  # each edge label -> line of its first edge
+    names: dict[int, str] = {}
+    node_of: dict[str, int] = {}  # each name and id token seen so far
+    edges: set[tuple[int, str, int]] = set()
+    next_auto = 0
+
+    def resolve(token: str, lineno: int) -> int:
+        nonlocal next_auto
+        node = node_of.get(token)
+        if node is not None:
+            return node
+        if is_node_id(token):
+            node = int(token)
+            if not 0 <= node < node_count:
+                raise ParseError(f"node {node} out of range", lineno)
+        else:
+            while next_auto in names:
+                next_auto += 1
+            if next_auto >= node_count:
+                raise ParseError(f"no free id for node name {token!r}", lineno)
+            node = next_auto
+            names[node] = token
+        node_of[token] = node
+        return node
+
+    for lineno, line in lines[1:]:
+        parts = line.split()
+        if parts[0] == "alphabet":
+            alphabet.update(parts[1:])
+            alphabet_declared = True
+            continue
+        if parts[0] == "name":
+            if len(parts) != 3:
+                raise ParseError("expected `name <id> <name>`", lineno)
+            if not is_node_id(parts[1]):
+                raise ParseError(f"bad node id {parts[1]!r}", lineno)
+            node = int(parts[1])
+            if not 0 <= node < node_count:
+                raise ParseError(f"node {node} out of range", lineno)
+            if is_node_id(parts[2]):
+                raise ParseError(f"node name {parts[2]!r} reads as a node id", lineno)
+            if node in names or parts[2] in node_of:
+                raise ParseError(f"duplicate name binding {parts[2]!r}", lineno)
+            names[node] = parts[2]
+            node_of[parts[2]] = node
+            continue
+        if len(parts) != 3:
+            raise ParseError("expected `<src> <label> <dst>` edge", lineno)
+        src, label, dst = parts
+        labels.setdefault(label, lineno)
+        edges.add((resolve(src, lineno), label, resolve(dst, lineno)))
+
+    if not alphabet_declared:
+        alphabet = set(labels)
+    elif not labels.keys() <= alphabet:
+        lineno, label = min((n, x) for x, n in labels.items() if x not in alphabet)
+        raise ParseError(f"label {label!r} not in declared alphabet", lineno)
+
+    node_names = None
+    if names:
+        if len(names) != node_count:
+            raise ParseError(
+                f"{len(names)} of {node_count} nodes named; name all or none"
+            )
+        node_names = tuple(names[i] for i in range(node_count))
+    return LabeledDigraph(node_count, alphabet, edges, node_names)

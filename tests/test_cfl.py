@@ -451,6 +451,49 @@ def test_queue_table_keeps_static_and_unread_rows_off_the_worklist():
     ]
 
 
+# the symbols that get a column index in[X], per binarization order
+INDEXED_COLUMNS = {
+    "d1": ({"S", "[1"}, {"S", "[1"}),
+    "dyck:2": ({"S", "[1", "[2"}, {"S", "[1", "[2"}),
+    "pt": ({"S", "-S", "@1", "@4", "@9"}, {"S", "-S", "@1", "@4", "@8"}),
+    "pt_prime": ({"S", "-S", "@1", "@4"}, {"S", "-S", "@1", "@4"}),
+}
+
+
+def test_column_table_indexes_only_left_operands_of_a_popping_partner():
+    for name, expected in INDEXED_COLUMNS.items():
+        grammar = builtin_grammar(name)
+        for assoc, columns in zip(("right", "left"), expected):
+            norm = normalize(grammar, assoc=assoc)
+            assert {sym for sym, c in norm.codes.items() if norm.indexed[c]} == columns, (name, assoc)
+            assert norm.indexed == tuple(
+                any(norm.queue_of[y] is not None for y, _ in left) for left in norm.left_of
+            ), (name, assoc)
+    # pt's terminal left operands meet only static partners: no column
+    pt = normalize(PT)
+    for sym in ("as", "d", "-d", "r", "-sa"):
+        assert pt.left_of[pt.codes[sym]] and not pt.indexed[pt.codes[sym]], sym
+
+    # A pops, but its right partners under A -> A a and A -> A B are static,
+    # so its left joins read out[a] and out[B] and no pop reads in[A]
+    grammar = _hand_grammar("left recursion")
+    norm = normalize(grammar)
+    a = norm.codes["A"]
+    assert norm.queue_of[a] is not None and norm.left_of[a] and not any(norm.indexed)
+    joined = 0  # A pairs that only a left join of A derives
+    for seed in range(6):
+        g = helpers.rand_labeled_graph(["a", "b", "c"], 7, 14, seed)
+        summaries = all_pairs(g, grammar)
+        expected = helpers.reference_saturation(g, grammar)
+        for sym in ("A", "B"):
+            assert summaries.pairs(sym) == expected[sym], (seed, sym)
+        joined += len(expected["A"] - expected["b"])
+        for s in range(g.node_count):
+            for t in range(g.node_count):
+                assert st_query(g, grammar, s, t) == summaries.holds(s, "A", t), (seed, s, t)
+    assert joined
+
+
 def test_helper_names_avoid_grammar_symbols():
     clash = _hand_grammar("helper-name clash")
     assert not derives(clash, "X", ("a", "b"))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -429,3 +430,41 @@ def test_wrong_argument_combinations_exit_2(workdir, capsys, argv, message):
     assert main([str(paths.get(arg, arg)) for arg in argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (workdir / "out").exists()
+
+
+LONG = "1" * 5000  # past CPython's 4300-digit limit for `int()`
+
+
+@pytest.mark.parametrize(
+    "graph, argv, message",
+    [
+        (f"nodes {LONG}\n", [], f"line 1: node count {LONG} exceeds {sys.maxsize}"),
+        ("nodes 3\n0 [1 1\n1 ]1 2\n", ["--source", LONG, "--target", "0"], f"node {LONG} out of range"),
+        (f"nodes 3\n0 [1 -{LONG}\n", [], f"line 2: node -{LONG} out of range"),
+        (f"nodes 3\nname {LONG} x\n", [], f"line 2: node {LONG} out of range"),
+        ("nodes 3\n0 [1 1\n1 ]1 2\n", ["--grammar", f"dyck:{LONG}"],
+         f"dyck:{LONG}: {LONG} bracket kinds exceed the 2 allowed"),
+    ],
+    ids=["nodes-count", "source", "edge-id", "name-id", "dyck-k"],
+)
+def test_long_digit_tokens_in_reach_exit_2(workdir, capsys, graph, argv, message):
+    (workdir / "g.lg").write_text(graph)
+    assert main(["reach", str(workdir / "g.lg"), "--grammar", "d1", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_long_digit_matrix_size_exits_2(workdir, capsys):
+    (workdir / "long.bm").write_text(f"{LONG}\n01\n10\n")
+    argv = ["reduce", "bmm-to-d1", str(workdir / "long.bm"), str(workdir / "B.bm"), "-o", str(workdir / "o.lg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: expected {LONG} rows, got 2\n"
+
+
+def test_long_digit_tokens_with_leading_zeros_are_their_value(workdir, capsys):
+    zeros = "0" * 5000
+    (workdir / "g.lg").write_text(f"nodes {zeros}3\n-{zeros} [1 {zeros}1\n{zeros}1 ]1 {zeros}2\n")
+    assert main(["reach", str(workdir / "g.lg"), "--grammar", "d1"]) == 0
+    assert capsys.readouterr().out == "0 -> 2\n"
+    argv = ["--grammar", f"dyck:{zeros}1", "--source", f"-{zeros}", "--target", f"{zeros}2"]
+    assert main(["reach", str(workdir / "g.lg"), *argv]) == 0
+    assert capsys.readouterr().out == "reachable\n"

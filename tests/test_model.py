@@ -1,4 +1,5 @@
 import pickle
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from palab.model import (
     Variable,
     _ones,
     _select,
+    to_int,
 )
 from palab.andersen import solve
 from palab.textio import parse_program, serialize_program
@@ -186,3 +188,16 @@ def test_node_names_and_id_tokens_follow_one_rule():
 def test_values_refuse_bad_parts(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_to_int_reads_tokens_of_any_length():
+    limit = len(str(sys.maxsize))
+    for digits in ("9" * limit, "0" * 5000 + "9" * limit, "0" * 5000):
+        for sign in ("", "-"):
+            assert to_int(sign + digits) == int(sign + (digits.lstrip("0") or "0"))
+    # one digit more than sys.maxsize has: out of every range, printed unconverted
+    for sign in ("", "-"):
+        for token in (sign + "1" + "0" * limit, sign + "000" + "7" * 5000):
+            value = to_int(token)
+            assert abs(value) == sys.maxsize + 1 and (value < 0) == (sign == "-")
+            assert str(value) == f"{value}" == repr(value) == sign + token.lstrip("-0")
