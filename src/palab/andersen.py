@@ -41,7 +41,7 @@ worklist policy or statement order.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .model import PointsToSolution, Program, StatementKind, Variable, _ones
 
@@ -262,10 +262,3 @@ def solve(
             members_of = shared[bits] = frozenset([variables[j] for j in _ones(bits)])
         solution[var] = members_of
     return PointsToSolution(pt=solution)
-
-
-def query(
-    solution: PointsToSolution, p: Union[Variable, str], q: Union[Variable, str]
-) -> bool:
-    """True iff loc(q) is in pt(p)."""
-    return solution.query(p, q)

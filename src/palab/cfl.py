@@ -21,10 +21,10 @@ targets that helpers derive for a nonterminal row coalesce into its
 pending delta rather than into a later pop.
 Binarization first folds each run of two or more terminals in a longer
 body into one helper, whose facts are at most the graph's paths that spell
-the run, then shares one helper per body suffix (or prefix) across
-productions. Epsilon never enters the worklist: unit rules compensate for
-nullable operands, and the diagonal of each nullable symbol is added at the
-end. The built-in grammars (Dyck-1, generalized Dyck, and the two
+the run, then shares one helper per body suffix across productions.
+Epsilon never enters the worklist: unit rules compensate for nullable
+operands, and the diagonal of each nullable symbol is added at the end.
+The built-in grammars (Dyck-1, generalized Dyck, and the two
 points-to-analysis reachability grammars over PEG labels) live here too,
 together with a terminal Follow-set analysis.
 """
@@ -146,8 +146,8 @@ class NormalizedGrammar:
 
     `binary_productions` have right-hand sides of length 1 or 2 with no
     epsilon. Each helper of `helper_map` derives exactly one span of
-    symbols: a run of terminals folded out of a body, or a suffix (prefix)
-    of a folded body. `nullable` names every symbol that derives epsilon,
+    symbols: a run of terminals folded out of a body, or a suffix of a
+    folded body. `nullable` names every symbol that derives epsilon,
     helpers included. Epsilon is carried by compensation: each L -> X Y
     gains L -> Y when X is nullable and L -> X when Y is, which keeps every
     summary over a nonempty path; the empty-path summaries (v, X, v) of the
@@ -185,7 +185,7 @@ class NormalizedGrammar:
 
 
 @lru_cache(maxsize=32)
-def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
+def normalize(grammar: Grammar) -> NormalizedGrammar:
     """Split long productions with fresh helpers, pre-compute nullability,
     and compile the symbol codes and rule tables that `_closure` reads.
 
@@ -199,10 +199,9 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
     Right-chained, `S -> as -d S r d` becomes `S -> @a @x`, `@x -> S @b`,
     `@a -> as -d`, `@b -> r d`, and `-S -> -sa -d S r d` reuses `@x`.
 
-    The folded body is then chained: `assoc` picks the direction; either
-    yields the same summaries once helpers are projected out. A helper
-    derives exactly the run, suffix (right) or prefix (left) that it spans,
-    so productions whose bodies share that span share the helper;
+    The folded body is then chained to the right: X -> s0 s1 s2 becomes
+    X -> s0 H, H -> s1 s2. A helper derives exactly the run or suffix that
+    it spans, so productions whose bodies share that span share the helper;
     `helper_map` records the first production that needed it. Helper
     names are `@<k>` names that the grammar does not use. No other
     function codes symbols.
@@ -213,11 +212,9 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
     operand joins get a column index (`indexed`). In `pt` the six
     terminal-pair helpers are static; `D1`, `Pt` and `Pt'` are unread.
 
-    Results are cached per (grammar value, assoc); every caller shares the
-    one read-only value.
+    Results are cached per grammar value; every caller shares the one
+    read-only value.
     """
-    if assoc not in ("right", "left"):
-        raise InvalidParamsError(f"unknown binarization order {assoc!r}")
     nullable = _nullable_closure(grammar.productions)
     taken = grammar.terminals | grammar.nonterminals
 
@@ -242,15 +239,13 @@ def normalize(grammar: Grammar, assoc: str = "right") -> NormalizedGrammar:
         return name, False
 
     def chain(head: str, body: tuple[str, ...], origin):
-        # right: head -> s0 H(s1..), H(s1..) -> s1 H(s2..), ..., H -> s_{k-2} s_{k-1}
-        # left:  head -> H(..s_{k-2}) s_{k-1}, ..., H -> s0 s1
+        # head -> s0 H(s1..), H(s1..) -> s1 H(s2..), ..., H -> s_{k-2} s_{k-1}
         while len(body) > 2:
-            span = body[1:] if assoc == "right" else body[:-1]
-            name, known = helper(span, origin)
-            rules.append((head, (body[0], name) if assoc == "right" else (name, body[-1])))
+            name, known = helper(body[1:], origin)
+            rules.append((head, (body[0], name)))
             if known:  # the rules below a shared helper exist already
                 return
-            head, body = name, span
+            head, body = name, body[1:]
         rules.append((head, body))
 
     def fold(body: tuple[str, ...], origin) -> tuple[str, ...]:

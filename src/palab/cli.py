@@ -40,16 +40,23 @@ def _read(path: str) -> str:
             raise ParseError(f"{path}: {err}") from None
 
 
+def _count(text: str) -> int:
+    """argparse type for a count: ASCII digits, at most sys.maxsize (the
+    bound of a `.lg` node count)."""
+    if not is_count(text):
+        raise argparse.ArgumentTypeError(f"not a count: {text!r}")
+    count = to_int(text)
+    if count > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"count {count} exceeds {sys.maxsize}")
+    return count
+
+
 def _sizes(text: str) -> list[int]:
-    """argparse type for --sizes: a comma-separated list of ASCII counts,
-    each at most sys.maxsize (the bound of a `.lg` node count)."""
+    """argparse type for --sizes: a comma-separated list of `_count`s."""
     tokens = [tok for tok in text.split(",") if tok]
-    if not tokens or not all(map(is_count, tokens)):
+    if not tokens:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of sizes: {text!r}")
-    sizes = [to_int(tok) for tok in tokens]
-    if max(sizes) > sys.maxsize:
-        raise argparse.ArgumentTypeError(f"size {max(sizes)} exceeds {sys.maxsize}")
-    return sizes
+    return [_count(tok) for tok in tokens]
 
 
 def _write(path: str, text: str):
@@ -240,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck", help="randomized oracle equivalence suites")
     p.add_argument("--suite", required=True, choices=["bmm", "peg", "pt-prime", "triangle"])
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-n", type=int, default=8, help="instance size cap (bmm, triangle)")
+    p.add_argument("--trials", type=_count, default=100)
+    p.add_argument("--max-n", type=_count, default=8, help="instance size cap (bmm, triangle)")
     p.add_argument("--seed", type=int, default=None, help="default: $PA_LAB_SEED or 0")
     p.add_argument("--profile", default="case1", help="statement profile for the bmm suite")
     p.add_argument("--directed", action="store_true", help="directed triangle mode")
@@ -249,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a seeded random instance")
     p.add_argument("kind", choices=["matrix", "program", "dyck-graph", "simple-graph"])
-    p.add_argument("-n", type=int, required=True, help="size (nodes / variables / dimension)")
-    p.add_argument("-m", type=int, default=0, help="edge count (dyck-graph)")
-    p.add_argument("--stmts", type=int, default=10, help="statement count cap (program)")
+    p.add_argument("-n", type=_count, required=True, help="size (nodes / variables / dimension)")
+    p.add_argument("-m", type=_count, default=0, help="edge count (dyck-graph)")
+    p.add_argument("--stmts", type=_count, default=10, help="statement count cap (program)")
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--directed", action="store_true")
     p.add_argument("--seed", type=int, default=None, help="default: $PA_LAB_SEED or 0")

@@ -57,10 +57,6 @@ class SelfLoopError(AnalysisError):
     pass
 
 
-class MalformedPegError(AnalysisError):
-    pass
-
-
 class InvalidParamsError(AnalysisError):
     pass
 
@@ -342,14 +338,6 @@ class BooleanMatrix:
 
     def nnz(self) -> int:
         return sum(sum(row) for row in self.bits)
-
-    @staticmethod
-    def zero(n: int) -> "BooleanMatrix":
-        return BooleanMatrix([[0] * n for _ in range(n)])
-
-    @staticmethod
-    def identity(n: int) -> "BooleanMatrix":
-        return BooleanMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

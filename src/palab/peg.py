@@ -14,9 +14,7 @@ from functools import cached_property
 
 from .model import (
     LabeledDigraph,
-    MalformedPegError,
     Program,
-    Statement,
     StatementKind,
     Variable,
 )
@@ -95,24 +93,3 @@ def build_peg(program: Program) -> PEG:
     expr_of = tuple((v, form) for v in variables for form in _FORMS)
     graph = LabeledDigraph(3 * len(variables), PEG_ALPHABET, edges, names or None)
     return PEG(graph, expr_of)
-
-
-def peg_statements(peg: PEG) -> Program:
-    """Recover the statement set encoded by a PEG's program edges."""
-    edge_of_label = {
-        label: (kind, (soff, doff)) for kind, (label, _, soff, doff) in _EDGE_OF_KIND.items()
-    }
-    out: list[Statement] = []
-    for src, label, dst in sorted(peg.graph.edges):
-        if label not in edge_of_label:
-            continue
-        kind, offsets = edge_of_label[label]
-        svar, sform = peg.expr_of[src]
-        dvar, dform = peg.expr_of[dst]
-        if (sform.value, dform.value) != offsets:
-            raise MalformedPegError(
-                f"{label}-edge joins {peg.graph.name_of(src)} and {peg.graph.name_of(dst)}, "
-                "which reads back as no statement"
-            )
-        out.append(Statement(kind, svar, dvar))
-    return Program(out)

@@ -15,7 +15,6 @@ returns a provenance map from input entities to output entities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .model import (
     BadEdgeLabelError,
@@ -123,7 +122,7 @@ def _node_base_names(graph: LabeledDigraph) -> list[str]:
 
 
 def d1_to_program(
-    instance: Union[D1Instance, LabeledDigraph],
+    graph: LabeledDigraph,
     profile: StatementProfile = StatementProfile.CASE1,
     prune_isolated: bool = False,
 ) -> tuple[Program, ReductionMap]:
@@ -136,7 +135,6 @@ def d1_to_program(
     `model`); temps are fresh per gadget. `prune_isolated` drops the node
     gadgets of degree-0 nodes.
     """
-    graph = instance.graph if isinstance(instance, D1Instance) else instance
     bad = {label for _, label, _ in graph.edges} - DYCK_LABELS
     if bad:
         raise BadEdgeLabelError(f"non-Dyck-1 edge labels: {sorted(bad)}")

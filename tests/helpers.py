@@ -18,6 +18,8 @@ from typing import Sequence
 from palab.cfl import NormalizedGrammar, _closure, _first_sets, _nullable_closure
 from palab.crosscheck import CheckReport, worked_dyck_graph
 from palab.model import (
+    AnalysisError,
+    BooleanMatrix,
     Grammar,
     InvalidParamsError,
     LabeledDigraph,
@@ -32,6 +34,7 @@ from palab.model import (
     is_count,
     is_node_id,
 )
+from palab.peg import PEG, _EDGE_OF_KIND
 
 EXAMPLE_PROGRAM_TEXT = "a = &b\nb = &d\nc = *a\n"
 
@@ -229,13 +232,46 @@ def reference_follow_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
 
 def saturate(graph: LabeledDigraph, norm: NormalizedGrammar):
     """The engine's raw output as (summary triples (u, symbol code, v),
-    symbol codes, hit), helpers included, for experiments that compare
-    binarizations below the `all_pairs` projection."""
+    symbol codes, hit), helpers included, for tests that read the engine
+    below the `all_pairs` projection."""
     out, hit = _closure(graph, norm)
     triples = {
         (u, c, v) for c, rows in enumerate(out) for u, row in enumerate(rows) for v in _ones(row)
     }
     return triples, norm.codes, hit
+
+
+def zero_matrix(n: int) -> BooleanMatrix:
+    return BooleanMatrix([[0] * n for _ in range(n)])
+
+
+def identity_matrix(n: int) -> BooleanMatrix:
+    return BooleanMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+class MalformedPegError(AnalysisError):
+    pass
+
+
+def peg_statements(peg: PEG) -> Program:
+    """Recover the statement set encoded by a PEG's program edges."""
+    edge_of_label = {
+        label: (kind, (soff, doff)) for kind, (label, _, soff, doff) in _EDGE_OF_KIND.items()
+    }
+    out: list[Statement] = []
+    for src, label, dst in sorted(peg.graph.edges):
+        if label not in edge_of_label:
+            continue
+        kind, offsets = edge_of_label[label]
+        svar, sform = peg.expr_of[src]
+        dvar, dform = peg.expr_of[dst]
+        if (sform.value, dform.value) != offsets:
+            raise MalformedPegError(
+                f"{label}-edge joins {peg.graph.name_of(src)} and {peg.graph.name_of(dst)}, "
+                "which reads back as no statement"
+            )
+        out.append(Statement(kind, svar, dvar))
+    return Program(out)
 
 
 def kv_dump(report: CheckReport) -> str:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from palab.andersen import _copy_sccs, query, solve
+from palab.andersen import _copy_sccs, solve
 from palab.cfl import all_pairs, builtin_grammar
 from palab.crosscheck import rand_matrix, rand_program, worked_program
 from palab.model import Program, StatementProfile, UnknownVariableError, Variable
@@ -54,13 +54,13 @@ def test_solve_reduced_walkthrough_facts():
 
 def test_query_answers_and_errors():
     sol = solve(worked_program())
-    assert query(sol, "c", "d")
-    assert not query(sol, "d", "d")  # no reflexivity without address-of
-    assert not query(sol, "a", "d")
+    assert sol.query("c", "d")
+    assert not sol.query("d", "d")  # no reflexivity without address-of
+    assert not sol.query("a", "d")
     with pytest.raises(UnknownVariableError):
-        query(sol, "zz", "a")
+        sol.query("zz", "a")
     with pytest.raises(UnknownVariableError):
-        query(sol, "a", Variable("zz"))
+        sol.query("a", Variable("zz"))
 
 
 def test_solution_is_a_fixpoint_on_seeded_programs():
@@ -224,7 +224,7 @@ def test_fifo_counters_are_pinned():
         assert counters(rand_program(100, 500, seed)) == expected, seed
     instance = bmm_to_d1(rand_matrix(8, 0.3, 1), rand_matrix(8, 0.3, 2))
     for profile in StatementProfile:
-        program, _ = d1_to_program(instance, profile, prune_isolated=True)
+        program, _ = d1_to_program(instance.graph, profile, prune_isolated=True)
         assert counters(program) == PINNED_BMM_COUNTERS[profile.value], profile
 
 

@@ -14,7 +14,6 @@ from palab.model import (
 )
 from palab.peg import PEG_ALPHABET, build_peg
 from palab.reductions import triangle_to_st_d1
-from palab.textio import parse_program
 
 import helpers
 from helpers import derives
@@ -104,18 +103,6 @@ def test_saturation_monotone_and_deterministic():
     assert base.summaries <= all_pairs(bigger, D1).summaries
 
 
-def test_binarization_order_does_not_change_summaries():
-    peg = build_peg(parse_program(helpers.REDUCED_PROGRAM_TEXT))
-    results = []
-    for assoc in ("right", "left"):
-        norm = normalize(PT, assoc=assoc)
-        seen, symbols, _ = helpers.saturate(peg.graph, norm)
-        names = {c: s for s, c in symbols.items()}
-        keep = PT.terminals | PT.nonterminals
-        results.append({(u, names[x], v) for u, x, v in seen if names[x] in keep})
-    assert results[0] == results[1]
-
-
 def test_all_bracket_walks_in_three_layer_graphs_have_two_edges():
     from palab.crosscheck import rand_matrix
     from palab.reductions import bmm_to_d1
@@ -184,12 +171,19 @@ _HAND_GRAMMARS = {
     "helper-name clash": ("X", [("X", ("a", "c", "c", "b")), ("@1", ("b",))]),
     # runs of terminals at the start, middle and end of a body, the middle one
     # before the nullable N; `c a` starts N's body too, the all-terminal
-    # `b c a` is chained unfolded through the span `c a` (right) or `b c`
-    # (left), and the run `c a b` through `a b` (right) or `c a` (left)
+    # `b c a` is chained unfolded through the span `c a`, and the run `c a b`
+    # through `a b`
     "terminal runs": (
         "X",
         [("X", ("a", "b", "X", "c", "a", "N", "b", "c")), ("X", ("b", "c", "a")),
          ("X", ("N", "c", "a", "b")), ("N", ("c", "a", "N")), ("N", ()), ("N", ("b",))],
+    ),
+    # `X -> a X c` chained to the left, written out: the prefix P is a popping
+    # left operand whose right partner c is static, and X pops as the right
+    # operand of P -> a X
+    "prefix operand": (
+        "X",
+        [("X", ("P", "c")), ("P", ("a", "X")), ("X", ("X", "X")), ("X", ("b",)), ("X", ())],
     ),
 }
 
@@ -223,11 +217,10 @@ def test_engine_matches_reference_saturation():
         summaries = all_pairs(g, grammar)
         for sym, pairs in expected.items():
             assert summaries.pairs(sym) == pairs, (trial, name, sym)
-        for assoc in ("right", "left"):
-            triples, symbols, _ = helpers.saturate(g, normalize(grammar, assoc=assoc))
-            names = {c: s for s, c in symbols.items()}
-            got = {(u, names[c], v) for u, c, v in triples if names[c] in expected}
-            assert got == {(u, s, v) for s, ps in expected.items() for u, v in ps}, (trial, name, assoc)
+        triples, symbols, _ = helpers.saturate(g, normalize(grammar))
+        names = {c: s for s, c in symbols.items()}
+        got = {(u, names[c], v) for u, c, v in triples if names[c] in expected}
+        assert got == {(u, s, v) for s, ps in expected.items() for u, v in ps}, (trial, name)
         start_pairs = expected[grammar.start]
         for s in range(g.node_count):
             for t in range(g.node_count):
@@ -249,12 +242,11 @@ def test_answers_do_not_depend_on_node_numbering():
         perm = list(range(n))
         random.Random(trial).shuffle(perm)
         moved = LabeledDigraph(n, g.alphabet, {(perm[u], a, perm[v]) for u, a, v in g.edges})
-        for assoc in ("right", "left"):
-            norm = normalize(grammar, assoc=assoc)
-            triples, _, _ = helpers.saturate(g, norm)
-            assert helpers.saturate(moved, norm)[0] == {
-                (perm[u], c, perm[v]) for u, c, v in triples
-            }, (trial, name, assoc)
+        norm = normalize(grammar)
+        triples, _, _ = helpers.saturate(g, norm)
+        assert helpers.saturate(moved, norm)[0] == {
+            (perm[u], c, perm[v]) for u, c, v in triples
+        }, (trial, name)
         summaries, moved_summaries = all_pairs(g, grammar), all_pairs(moved, grammar)
         for sym in grammar.terminals | grammar.nonterminals:
             assert moved_summaries.pairs(sym) == {
@@ -311,25 +303,23 @@ def _helpers_over_nonterminals(grammar: Grammar, norm) -> set[str]:
     return found
 
 
-def test_points_to_grammar_shares_helpers_in_both_orders():
-    for assoc in ("right", "left"):
-        norm = normalize(PT, assoc=assoc)
-        assert len(norm.helper_map) == 9, assoc
-        assert all(1 <= len(rhs) <= 2 for _, rhs in norm.binary_productions)
-        # six helpers derive a terminal pair and three span S or -S: of the
-        # four bodies with a nonterminal, two share such a helper in either order
-        assert len(_helpers_over_nonterminals(PT, norm)) == 3, assoc
+def test_points_to_grammar_shares_helpers():
+    norm = normalize(PT)
+    assert len(norm.helper_map) == 9
+    assert all(1 <= len(rhs) <= 2 for _, rhs in norm.binary_productions)
+    # six helpers derive a terminal pair and three span S or -S: of the
+    # four bodies with a nonterminal, two share such a helper
+    assert len(_helpers_over_nonterminals(PT, norm)) == 3
 
 
 def test_terminal_runs_fold_into_shared_helpers():
     runs = _hand_grammar("terminal runs")
-    for assoc in ("right", "left"):
-        norm = normalize(runs, assoc=assoc)
-        spans = {rhs for lhs, rhs in norm.binary_productions if lhs in norm.helper_map}
-        # three pair helpers, `c a b`, and three that chain the first body
-        assert {("a", "b"), ("c", "a"), ("b", "c")} <= spans, assoc
-        assert len(norm.helper_map) == 7, assoc
-        assert len(_helpers_over_nonterminals(runs, norm)) == 3, assoc
+    norm = normalize(runs)
+    spans = {rhs for lhs, rhs in norm.binary_productions if lhs in norm.helper_map}
+    # three pair helpers, `c a b`, and three that chain the first body
+    assert {("a", "b"), ("c", "a"), ("b", "c")} <= spans
+    assert len(norm.helper_map) == 7
+    assert len(_helpers_over_nonterminals(runs, norm)) == 3
 
 
 # (pops, joined_rows, summaries over every symbol) on the 111-node PEG of
@@ -415,32 +405,31 @@ def test_queue_table_keeps_static_and_unread_rows_off_the_worklist():
     pair_helpers = {"d1": 0, "dyck:2": 0, "pt": 6, "pt_prime": 4}
     for name, pairs in pair_helpers.items():
         grammar = builtin_grammar(name)
-        for assoc in ("right", "left"):
-            norm = normalize(grammar, assoc=assoc)
-            queues: dict = {None: set(), 0: set(), 1: set()}
-            for sym, c in norm.codes.items():
-                queues[norm.queue_of[c]].add(sym)
-            static_helpers = queues[None] - grammar.terminals - {grammar.start}
-            assert len(static_helpers) == pairs, (name, assoc)
-            assert all(
-                set(rhs) <= grammar.terminals
-                for lhs, rhs in norm.binary_productions if lhs in static_helpers
-            ), (name, assoc)
-            assert static_helpers <= norm.helper_map.keys()
-            assert grammar.start in queues[None]
-            assert queues[0] == _helpers_over_nonterminals(grammar, norm), (name, assoc)
-            assert queues[1] == grammar.nonterminals - {grammar.start}, (name, assoc)
-            # the rules over static symbols only: the static heads' first
-            static = queues[None] - {grammar.start}
-            names = {c: sym for sym, c in norm.codes.items()}
-            listed = [(names[lhs], tuple(names[x] for x in rhs)) for lhs, rhs in norm.static_rules]
-            assert sorted(listed) == sorted(
-                rule for rule in norm.binary_productions if static.issuperset(rule[1])
-            ), (name, assoc)
-            heads = [lhs in static for lhs, _ in listed]
-            assert heads == sorted(heads, reverse=True), (name, assoc)
+        norm = normalize(grammar)
+        queues: dict = {None: set(), 0: set(), 1: set()}
+        for sym, c in norm.codes.items():
+            queues[norm.queue_of[c]].add(sym)
+        static_helpers = queues[None] - grammar.terminals - {grammar.start}
+        assert len(static_helpers) == pairs, name
+        assert all(
+            set(rhs) <= grammar.terminals
+            for lhs, rhs in norm.binary_productions if lhs in static_helpers
+        ), name
+        assert static_helpers <= norm.helper_map.keys()
+        assert grammar.start in queues[None]
+        assert queues[0] == _helpers_over_nonterminals(grammar, norm), name
+        assert queues[1] == grammar.nonterminals - {grammar.start}, name
+        # the rules over static symbols only: the static heads' first
+        static = queues[None] - {grammar.start}
+        names = {c: sym for sym, c in norm.codes.items()}
+        listed = [(names[lhs], tuple(names[x] for x in rhs)) for lhs, rhs in norm.static_rules]
+        assert sorted(listed) == sorted(
+            rule for rule in norm.binary_productions if static.issuperset(rule[1])
+        ), name
+        heads = [lhs in static for lhs, _ in listed]
+        assert heads == sorted(heads, reverse=True), name
 
-    # pt, right-chained: six terminal-pair helpers, then Pt -> r, the unit
+    # pt: six terminal-pair helpers, then Pt -> r, the unit
     # rules S -> s and -S -> -s, and the compensation rules of the helpers
     # whose body starts with the nullable S or -S
     norm = normalize(PT)
@@ -451,24 +440,22 @@ def test_queue_table_keeps_static_and_unread_rows_off_the_worklist():
     ]
 
 
-# the symbols that get a column index in[X], per binarization order
+# the symbols that get a column index in[X]
 INDEXED_COLUMNS = {
-    "d1": ({"S", "[1"}, {"S", "[1"}),
-    "dyck:2": ({"S", "[1", "[2"}, {"S", "[1", "[2"}),
-    "pt": ({"S", "-S", "@1", "@4", "@9"}, {"S", "-S", "@1", "@4", "@8"}),
-    "pt_prime": ({"S", "-S", "@1", "@4"}, {"S", "-S", "@1", "@4"}),
+    "d1": {"S", "[1"},
+    "dyck:2": {"S", "[1", "[2"},
+    "pt": {"S", "-S", "@1", "@4", "@9"},
+    "pt_prime": {"S", "-S", "@1", "@4"},
 }
 
 
 def test_column_table_indexes_only_left_operands_of_a_popping_partner():
-    for name, expected in INDEXED_COLUMNS.items():
-        grammar = builtin_grammar(name)
-        for assoc, columns in zip(("right", "left"), expected):
-            norm = normalize(grammar, assoc=assoc)
-            assert {sym for sym, c in norm.codes.items() if norm.indexed[c]} == columns, (name, assoc)
-            assert norm.indexed == tuple(
-                any(norm.queue_of[y] is not None for y, _ in left) for left in norm.left_of
-            ), (name, assoc)
+    for name, columns in INDEXED_COLUMNS.items():
+        norm = normalize(builtin_grammar(name))
+        assert {sym for sym, c in norm.codes.items() if norm.indexed[c]} == columns, name
+        assert norm.indexed == tuple(
+            any(norm.queue_of[y] is not None for y, _ in left) for left in norm.left_of
+        ), name
     # pt's terminal left operands meet only static partners: no column
     pt = normalize(PT)
     for sym in ("as", "d", "-d", "r", "-sa"):
@@ -539,33 +526,27 @@ def test_normalize_compiles_symbol_codes_and_rule_tables():
     grammars = [D1, builtin_grammar("dyck:2"), PT, builtin_grammar("pt_prime")]
     grammars += [nullable_middle, _hand_grammar("unit cycle")]
     for grammar in grammars:
-        for assoc in ("right", "left"):
-            norm = normalize(grammar, assoc=assoc)
-            assert norm is normalize(grammar, assoc=assoc)
-            names = sorted(grammar.terminals | grammar.nonterminals | norm.helper_map.keys())
-            assert isinstance(norm.codes, MappingProxyType)
-            assert list(norm.codes.items()) == [(sym, c) for c, sym in enumerate(names)]
-            rules = norm.binary_productions
-            assert all(1 <= len(rhs) <= 2 for _, rhs in rules)
-            for table in (norm.unit_by, norm.left_of, norm.right_of):
-                assert isinstance(table, tuple) and len(table) == len(names)
-                assert all(isinstance(row, tuple) for row in table)
-            # decoded row by row, in binary_productions order
-            for x, sym in enumerate(names):
-                assert [(names[lhs], (sym,)) for lhs in norm.unit_by[x]] == [
-                    rule for rule in rules if rule[1] == (sym,)
-                ], (grammar.start, assoc, sym)
-                assert [(names[lhs], (sym, names[y])) for y, lhs in norm.left_of[x]] == [
-                    rule for rule in rules if len(rule[1]) == 2 and rule[1][0] == sym
-                ], (grammar.start, assoc, sym)
-                assert [(names[lhs], (names[y], sym)) for y, lhs in norm.right_of[x]] == [
-                    rule for rule in rules if len(rule[1]) == 2 and rule[1][1] == sym
-                ], (grammar.start, assoc, sym)
-
-
-def test_normalize_rejects_an_unknown_association():
-    with pytest.raises(InvalidParamsError, match="unknown binarization order 'middle'"):
-        normalize(D1, assoc="middle")
+        norm = normalize(grammar)
+        assert norm is normalize(grammar)
+        names = sorted(grammar.terminals | grammar.nonterminals | norm.helper_map.keys())
+        assert isinstance(norm.codes, MappingProxyType)
+        assert list(norm.codes.items()) == [(sym, c) for c, sym in enumerate(names)]
+        rules = norm.binary_productions
+        assert all(1 <= len(rhs) <= 2 for _, rhs in rules)
+        for table in (norm.unit_by, norm.left_of, norm.right_of):
+            assert isinstance(table, tuple) and len(table) == len(names)
+            assert all(isinstance(row, tuple) for row in table)
+        # decoded row by row, in binary_productions order
+        for x, sym in enumerate(names):
+            assert [(names[lhs], (sym,)) for lhs in norm.unit_by[x]] == [
+                rule for rule in rules if rule[1] == (sym,)
+            ], (grammar.start, sym)
+            assert [(names[lhs], (sym, names[y])) for y, lhs in norm.left_of[x]] == [
+                rule for rule in rules if len(rule[1]) == 2 and rule[1][0] == sym
+            ], (grammar.start, sym)
+            assert [(names[lhs], (names[y], sym)) for y, lhs in norm.right_of[x]] == [
+                rule for rule in rules if len(rule[1]) == 2 and rule[1][1] == sym
+            ], (grammar.start, sym)
 
 
 def test_builtin_dyck_count_is_capped_by_max_kinds():

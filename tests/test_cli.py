@@ -223,6 +223,26 @@ def test_bench_rejects_bad_sizes_with_usage(sizes, capsys):
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["gen", "matrix", "-n"],
+        ["gen", "dyck-graph", "-n", "4", "-m"],
+        ["gen", "program", "-n", "3", "--stmts"],
+        ["crosscheck", "--suite", "peg", "--trials"],
+        ["crosscheck", "--suite", "bmm", "--trials", "1", "--max-n"],
+    ],
+)
+@pytest.mark.parametrize("count", ["٣", "1_0", "100000000000000000000"])
+def test_count_options_take_ascii_digits_up_to_maxsize(argv, count, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, count, "--seed", "1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["analyze"], ["reach", "--grammar", "d1"], ["reduce", "d1-to-pa", "-o", "out.pa"]],
 )
 def test_undecodable_input_exits_2_without_traceback(workdir, capsys, argv):

@@ -37,7 +37,7 @@ def test_bmm_oracle_worked_and_trivial_cases():
     assert c.bits[0] == (0, 0, 1, 1)
     assert all(sum(row) == 0 for row in c.bits[1:])
     m = BooleanMatrix([[0, 1], [1, 1]])
-    assert bmm_oracle(BooleanMatrix.identity(2), m) == m
+    assert bmm_oracle(helpers.identity_matrix(2), m) == m
     ones = BooleanMatrix([[1] * 3 for _ in range(3)])
     assert bmm_oracle(ones, ones) == ones
 
@@ -54,7 +54,7 @@ def test_triangle_oracle_cases():
 
 def test_rand_instance_dispatch_and_determinism():
     zero = rand_matrix(4, 0.0, 5)
-    assert zero == BooleanMatrix.zero(4)
+    assert zero == helpers.zero_matrix(4)
     sparse = rand_dyck_graph(5, 0, 9)
     assert sparse.node_count == 5 and not sparse.edges
     p1 = rand_program(6, 12, 9)
@@ -151,7 +151,7 @@ def test_trials_hand_the_generators_fresh_seeds(suite, monkeypatch):
 
 def test_oracle_refuses_matrices_of_two_sizes():
     with pytest.raises(DimensionMismatchError, match="2 vs 3"):
-        bmm_oracle(BooleanMatrix.identity(2), BooleanMatrix.identity(3))
+        bmm_oracle(helpers.identity_matrix(2), helpers.identity_matrix(3))
 
 
 @pytest.mark.parametrize(

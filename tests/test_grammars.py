@@ -89,10 +89,6 @@ def test_dyck_binarization_has_no_terminal_run_to_fold():
         ("D1", ("S",)), ("S", ("[1", "@1")), ("@1", ("S", "]1")),
         ("S", ("S", "S")), ("@1", ("]1",)),
     )
-    assert normalize(dyck_grammar(1), assoc="left").binary_productions == (
-        ("D1", ("S",)), ("S", ("@1", "]1")), ("@1", ("[1", "S")),
-        ("S", ("S", "S")), ("@1", ("[1",)),
-    )
 
 
 def test_table_of_follow_sets_for_points_to_terminals():

@@ -131,8 +131,8 @@ def test_boolean_matrix_validation():
         BooleanMatrix([[0, 1], [0]])
     with pytest.raises(InvalidParamsError):
         BooleanMatrix([[2]])
-    assert BooleanMatrix.identity(3).nnz() == 3
-    assert BooleanMatrix.zero(2).nnz() == 0
+    assert helpers.identity_matrix(3).nnz() == 3
+    assert helpers.zero_matrix(2).nnz() == 0
 
 
 def test_grammar_validation():

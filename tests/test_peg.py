@@ -3,18 +3,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palab.crosscheck import rand_program, worked_program
-from palab.model import LabeledDigraph, MalformedPegError, Program
+from palab.model import LabeledDigraph, Program
 from palab.peg import (
     ExprForm,
     PEG,
     PEG_ALPHABET,
     build_peg,
     inverse_label,
-    peg_statements,
 )
 from palab.textio import parse_program
 
 import helpers
+from helpers import MalformedPegError, peg_statements
 
 
 def edge_names(peg):

@@ -53,13 +53,13 @@ def test_worked_matrices_produce_three_edges():
 
 
 def test_zero_matrices_give_edgeless_graph():
-    z = BooleanMatrix.zero(4)
+    z = helpers.zero_matrix(4)
     inst = bmm_to_d1(z, z)
     assert inst.graph.node_count == 12 and not inst.graph.edges
 
 
 def test_identity_product_via_reachability():
-    eye = BooleanMatrix.identity(2)
+    eye = helpers.identity_matrix(2)
     inst = bmm_to_d1(eye, eye)
     named = {
         (inst.graph.name_of(s), l, inst.graph.name_of(d)) for s, l, d in inst.graph.edges
@@ -73,9 +73,9 @@ def test_identity_product_via_reachability():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        bmm_to_d1(BooleanMatrix.zero(2), BooleanMatrix.zero(3))
+        bmm_to_d1(helpers.zero_matrix(2), helpers.zero_matrix(3))
     with pytest.raises(DimensionMismatchError):
-        multiply_via_d1(BooleanMatrix.zero(2), BooleanMatrix.zero(3))
+        multiply_via_d1(helpers.zero_matrix(2), helpers.zero_matrix(3))
 
 
 def test_worked_product_and_seeded_products_match_oracle():
@@ -323,15 +323,8 @@ def test_directed_mode_tracks_cycle_orientation():
     assert not st_query(binst.graph, D1, binst.s, binst.t)
 
 
-def test_reduction_accepts_instance_or_bare_graph():
-    inst = bmm_to_d1(*worked_matrices())
-    from_instance, _ = d1_to_program(inst, StatementProfile.CASE1)
-    from_graph, _ = d1_to_program(inst.graph, StatementProfile.CASE1)
-    assert from_instance == from_graph
-
-
 def test_zero_times_anything_is_zero():
-    zero = BooleanMatrix.zero(3)
+    zero = helpers.zero_matrix(3)
     ones = BooleanMatrix([[1] * 3 for _ in range(3)])
     assert multiply_via_d1(zero, ones) == zero
     assert multiply_via_d1(ones, zero) == zero
