@@ -4,7 +4,7 @@
 binarizes the productions, codes every symbol, and builds the rule tables.
 `all_pairs` saturates summary edges with a semi-naive worklist closure over
 those tables, one bitset row of targets per (symbol, source); `st_query`
-runs the same engine with an early exit. A fact (w, X, v) enters the column
+reads one pair of that full saturation. A fact (w, X, v) enters the column
 index that right joins read when it pops, not when it is derived: w is
 appended to the list of v's sources, so a right join visits sources in pop
 order with no bit walk. Every pair of facts of a binary rule is still
@@ -375,13 +375,8 @@ def _check_alphabet(graph: LabeledDigraph, grammar: Grammar):
         raise AlphabetMismatchError(offending)
 
 
-def _closure(
-    graph: LabeledDigraph,
-    norm: NormalizedGrammar,
-    target: Optional[tuple[int, str, int]] = None,
-    stats: Optional[dict] = None,
-):
-    """Semi-naive saturation over bitset rows; returns (out, hit).
+def _closure(graph: LabeledDigraph, norm: NormalizedGrammar, stats: Optional[dict] = None):
+    """Semi-naive saturation over bitset rows; returns out at the fixpoint.
 
     out[X][u] is the bitset of the targets v of the summaries (u, X, v), X a
     symbol code of `norm.codes`; the rule tables are `norm`'s. Before the
@@ -415,23 +410,11 @@ def _closure(
     worklist; at the fixpoint the diagonal is OR-ed into the rows of the
     nullable symbols.
 
-    With a target the loop stops at the first pop after its bit lands,
-    checks once more after the last pop, since a bit can land in a row that
-    never pops, and leaves `out` partial. A target found before the first
-    pop stops at 0 pops. A target (s, X, s) with X nullable is answered
-    here, before any edge fact is added: `hit` is True and `out` is all
-    zero.
-
     When `stats` is a dict it receives `pops`, `joined_rows` (column list
-    entries visited by right joins), `summaries` (set bits per symbol of
-    `norm.codes`, helpers included) and, with a target, `stopped_at` (the
-    pop count at the stop, or None at the fixpoint).
+    entries visited by right joins) and `summaries` (set bits per symbol of
+    `norm.codes`, helpers included).
     """
     codes, unit_by, left_of, right_of = norm.codes, norm.unit_by, norm.left_of, norm.right_of
-    hit = False
-    if target is not None:
-        ts, tc, tt = target[0], codes[target[1]], target[2]
-        hit = ts == tt and target[1] in norm.nullable
     n = graph.node_count
     out = [[0] * n for _ in codes]
     inn = [[None] * n if kept else None for kept in norm.indexed]
@@ -450,38 +433,34 @@ def _closure(
                 q.append((c, u))
             pending[u] |= new
 
-    if not hit:
-        for src, label, dst in graph.edges:
-            out[codes[label]][src] |= 1 << dst
-        nodes = range(n)
-        for lhs, rhs in norm.static_rules:
-            head, rows, right = out[lhs], out[rhs[0]], out[rhs[-1]]
+    for src, label, dst in graph.edges:
+        out[codes[label]][src] |= 1 << dst
+    nodes = range(n)
+    for lhs, rhs in norm.static_rules:
+        head, rows, right = out[lhs], out[rhs[0]], out[rhs[-1]]
+        for u in compress(nodes, rows):
+            row = rows[u]
+            if len(rhs) == 2:
+                acc = 0
+                for v in _ones(row):
+                    acc |= right[v]
+                row = acc
+            new = row & ~head[u]
+            if new:
+                add(lhs, u, new)
+    for c, col in enumerate(inn):
+        if col is not None and queue[c] is None:
+            rows = out[c]
             for u in compress(nodes, rows):
-                row = rows[u]
-                if len(rhs) == 2:
-                    acc = 0
-                    for v in _ones(row):
-                        acc |= right[v]
-                    row = acc
-                new = row & ~head[u]
-                if new:
-                    add(lhs, u, new)
-        for c, col in enumerate(inn):
-            if col is not None and queue[c] is None:
-                rows = out[c]
-                for u in compress(nodes, rows):
-                    for v in _ones(rows[u]):
-                        ws = col[v]
-                        if ws is None:
-                            col[v] = [u]
-                        else:
-                            ws.append(u)
+                for v in _ones(rows[u]):
+                    ws = col[v]
+                    if ws is None:
+                        col[v] = [u]
+                    else:
+                        ws.append(u)
 
     pops = joined = 0
     while first or later:
-        if target is not None and out[tc][ts] >> tt & 1:
-            hit = True
-            break
         c, u = (first or later).popleft()
         pops += 1
         d = delta[c][u]
@@ -519,23 +498,17 @@ def _closure(
                 new = d & ~row[w]
                 if new:
                     add(lhs, w, new)
-    if target is not None and not hit:
-        # the last pops may land the target in a row that never pops
-        hit = bool(out[tc][ts] >> tt & 1)
-    if not hit:
-        for sym in norm.nullable:
-            rows = out[codes[sym]]
-            for v in range(n):
-                rows[v] |= 1 << v
+    for sym in norm.nullable:
+        rows = out[codes[sym]]
+        for v in range(n):
+            rows[v] |= 1 << v
     if stats is not None:
         stats.update(
             pops=pops,
             joined_rows=joined,
             summaries={sym: sum(row.bit_count() for row in out[c]) for sym, c in codes.items()},
         )
-        if target is not None:
-            stats["stopped_at"] = pops if hit else None
-    return out, hit
+    return out
 
 
 def all_pairs(
@@ -545,7 +518,7 @@ def all_pairs(
     symbols contribute (v, X, v) for every node. `stats`: see `_closure`."""
     _check_alphabet(graph, grammar)
     norm = normalize(grammar)
-    out, _ = _closure(graph, norm, stats=stats)
+    out = _closure(graph, norm, stats)
     by_symbol = []
     for sym, c in norm.codes.items():
         rows = out[c]
@@ -560,16 +533,15 @@ def all_pairs(
 def st_query(
     graph: LabeledDigraph, grammar: Grammar, s: int, t: int, stats: Optional[dict] = None
 ) -> bool:
-    """True iff t is start-symbol-reachable from s; stops as soon as the
-    target summary appears. `stats`: see `_closure`, which also answers the
-    empty path (s == t, nullable start) before any pop, with every summary
-    count 0."""
+    """True iff t is start-symbol-reachable from s: bit t of row s of the
+    start symbol in the full saturation, so `stats` (see `_closure`) equals
+    that of `all_pairs` on the same graph."""
     for node in (s, t):
         if not 0 <= node < graph.node_count:
             raise InvalidNodeError(f"node {node} out of range")
     _check_alphabet(graph, grammar)
-    _, hit = _closure(graph, normalize(grammar), target=(s, grammar.start, t), stats=stats)
-    return hit
+    norm = normalize(grammar)
+    return bool(_closure(graph, norm, stats)[norm.codes[grammar.start]][s] >> t & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ returns a provenance map from input entities to output entities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .model import (
     BadEdgeLabelError,
@@ -107,18 +108,24 @@ def multiply_via_d1(a: BooleanMatrix, b: BooleanMatrix) -> BooleanMatrix:
 # ---------------------------------------------------------------------------
 # Dyck-1 reachability -> pointer program
 
-def _node_base_names(graph: LabeledDigraph) -> list[str]:
+def _node_base_names(graph: LabeledDigraph, nodes: Iterable[int]) -> dict[int, str]:
+    """The base name of each of `nodes`. Node v of an unnamed graph is
+    `n<v>`. A named graph falls back to `n<v>` for a name that is not an
+    identifier or is a temp's, and for every node if two names would then
+    clash; only a named graph, whose names are in memory already, is read
+    whole for that check."""
+    if graph.node_names is None:
+        return {v: f"n{v}" for v in nodes}
     names = []
-    for v in range(graph.node_count):
-        name = graph.node_names[v] if graph.node_names is not None else f"n{v}"
+    for v, name in enumerate(graph.node_names):
         # temps are reserved; fall back rather than collide with t<i>
         if not is_identifier(name) or (name[0] == "t" and name[1:].isdigit()):
             name = f"n{v}"
         names.append(name)
     taken = set(names)
     if len(taken) != len(names) or any(name + "'" in taken for name in names):
-        names = [f"n{v}" for v in range(graph.node_count)]
-    return names
+        return {v: f"n{v}" for v in nodes}
+    return {v: names[v] for v in nodes}
 
 
 def d1_to_program(
@@ -140,8 +147,12 @@ def d1_to_program(
         raise BadEdgeLabelError(f"non-Dyck-1 edge labels: {sorted(bad)}")
 
     node_gadget, open_gadget, close_gadget = profile.gadgets
-    base = _node_base_names(graph)
-    qvars = [Variable(name) for name in base]
+    if prune_isolated:
+        nodes = sorted({node for src, _, dst in graph.edges for node in (src, dst)})
+    else:
+        nodes = range(graph.node_count)
+    base = _node_base_names(graph, nodes)
+    qvars = {v: Variable(name) for v, name in base.items()}
     statements: list[Statement] = []
     forward: dict[int, tuple] = {}
     temps = 0
@@ -155,10 +166,7 @@ def d1_to_program(
                     slots[slot] = Variable(f"t{temps}")
             statements.append(Statement(kind, slots[lhs], slots[rhs]))
 
-    touched = {node for src, _, dst in graph.edges for node in (src, dst)}
-    for v in range(graph.node_count):
-        if prune_isolated and v not in touched:
-            continue
+    for v in nodes:
         qvar, avar = qvars[v], Variable(base[v] + "'")
         forward[v] = (qvar, avar)
         emit(node_gadget, {"q": qvar, "a": avar})

@@ -232,13 +232,13 @@ def reference_follow_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
 
 def saturate(graph: LabeledDigraph, norm: NormalizedGrammar):
     """The engine's raw output as (summary triples (u, symbol code, v),
-    symbol codes, hit), helpers included, for tests that read the engine
-    below the `all_pairs` projection."""
-    out, hit = _closure(graph, norm)
+    symbol codes), helpers included, for tests that read the engine below
+    the `all_pairs` projection."""
+    out = _closure(graph, norm)
     triples = {
         (u, c, v) for c, rows in enumerate(out) for u, row in enumerate(rows) for v in _ones(row)
     }
-    return triples, norm.codes, hit
+    return triples, norm.codes
 
 
 def zero_matrix(n: int) -> BooleanMatrix:

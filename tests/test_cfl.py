@@ -217,7 +217,7 @@ def test_engine_matches_reference_saturation():
         summaries = all_pairs(g, grammar)
         for sym, pairs in expected.items():
             assert summaries.pairs(sym) == pairs, (trial, name, sym)
-        triples, symbols, _ = helpers.saturate(g, normalize(grammar))
+        triples, symbols = helpers.saturate(g, normalize(grammar))
         names = {c: s for s, c in symbols.items()}
         got = {(u, names[c], v) for u, c, v in triples if names[c] in expected}
         assert got == {(u, s, v) for s, ps in expected.items() for u, v in ps}, (trial, name)
@@ -243,7 +243,7 @@ def test_answers_do_not_depend_on_node_numbering():
         random.Random(trial).shuffle(perm)
         moved = LabeledDigraph(n, g.alphabet, {(perm[u], a, perm[v]) for u, a, v in g.edges})
         norm = normalize(grammar)
-        triples, _, _ = helpers.saturate(g, norm)
+        triples, _ = helpers.saturate(g, norm)
         assert helpers.saturate(moved, norm)[0] == {
             (perm[u], c, perm[v]) for u, c, v in triples
         }, (trial, name)
@@ -369,7 +369,7 @@ def test_counters_do_not_depend_on_edge_order():
     assert reordered
 
 
-def test_st_query_hits_before_and_after_the_loop():
+def test_st_query_reads_rows_that_never_pop():
     # X -> a b reads terminals only, so X is static: its rows are complete
     # before the first pop, and nothing is ever queued
     pair = Grammar({"a", "b"}, {"X"}, [("X", ("a", "b"))], "X")
@@ -377,12 +377,14 @@ def test_st_query_hits_before_and_after_the_loop():
     g = LabeledDigraph(3, {"a", "b"}, {(0, "a", 1), (1, "b", 2), (2, "a", 0)})
     expected = helpers.reference_saturation(g, pair)["X"]
     assert expected == {(0, 2)}
+    full = {}
+    all_pairs(g, pair, stats=full)
+    assert full["pops"] == 0
     for s in range(3):
         for t in range(3):
             stats = {}
             assert st_query(g, pair, s, t, stats=stats) == ((s, t) in expected), (s, t)
-            assert stats["pops"] == 0
-            assert stats["stopped_at"] == (0 if (s, t) in expected else None), (s, t)
+            assert stats == full, (s, t)
 
     # the last pop, of S at row 0, lands (0, D1, 2) in the row of D1, which
     # no rule reads and which is never queued
@@ -393,9 +395,8 @@ def test_st_query_hits_before_and_after_the_loop():
     full, found, missed = {}, {}, {}
     all_pairs(g, D1, stats=full)
     assert st_query(g, D1, 0, 2, stats=found)
-    assert found["stopped_at"] == found["pops"] == full["pops"] == 2
     assert not st_query(g, D1, 2, 0, stats=missed)
-    assert missed["stopped_at"] is None and missed["pops"] == full["pops"]
+    assert found == missed == full and full["pops"] == 2
 
 
 def test_queue_table_keeps_static_and_unread_rows_off_the_worklist():
@@ -508,16 +509,11 @@ def test_engine_counters_repeat_and_stay_opt_in():
     pairs = summaries.pairs("D1")
     hit = next((u, v) for u, v in sorted(pairs) if u != v)
     miss = next((u, v) for u in range(g.node_count) for v in range(g.node_count) if (u, v) not in pairs)
-    found, full = {}, {}
+    found, missed, empty = {}, {}, {}
     assert st_query(g, D1, *hit, stats=found)
-    assert not st_query(g, D1, *miss, stats=full)
-    assert 0 < found["stopped_at"] == found["pops"] <= first["pops"]
-    assert full["stopped_at"] is None and full["pops"] == first["pops"]
-    empty = {}
+    assert not st_query(g, D1, *miss, stats=missed)
     assert st_query(g, D1, 0, 0, stats=empty)
-    assert empty == {
-        "pops": 0, "joined_rows": 0, "summaries": dict.fromkeys(first["summaries"], 0), "stopped_at": 0
-    }
+    assert found == missed == empty == first
 
 
 def test_normalize_compiles_symbol_codes_and_rule_tables():

@@ -124,6 +124,16 @@ def test_unpruned_sizes_for_the_full_statement_profile():
     assert len(program.statements) == 4 * 12 + 2 * 3
 
 
+def test_pruning_walks_the_edges_not_the_node_count():
+    # 10**9 unnamed nodes, one edge: the pruned program names only the two
+    # touched nodes, so it is built without a pass over every node
+    for profile in StatementProfile:
+        small = d1_to_program(LabeledDigraph(2, DYCK_LABELS, {(0, "[1", 1)}), profile, True)
+        huge = d1_to_program(LabeledDigraph(10**9, DYCK_LABELS, {(0, "[1", 1)}), profile, True)
+        assert serialize_program(huge[0]) == serialize_program(small[0]), profile
+        assert huge[1] == small[1], profile
+
+
 def test_single_node_smallest_profile():
     graph = LabeledDigraph(1, DYCK_LABELS, set(), ("v",))
     program, rmap = d1_to_program(graph, StatementProfile.CASE5)
