@@ -2,9 +2,9 @@
 
 Subcommands: analyze, reach, reduce, crosscheck, gen, bench. Exit codes:
 0 success / positive answer, 1 negative answer (query "no", unreachable,
-mismatches), 2 usage or parse errors. All commands are deterministic
-functions of (argv, input files, seed); PA_LAB_SEED supplies the default
-seed.
+mismatches), 2 usage or parse errors. Every command but `bench`, which
+prints wall-clock times, is a deterministic function of its argv and input
+files.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
@@ -22,14 +21,6 @@ from .andersen import solve
 from .cfl import all_pairs, builtin_grammar, st_query
 from .model import AnalysisError, ParseError, StatementProfile, _select, is_count, to_int
 from .reductions import bmm_to_d1, d1_to_program, triangle_to_st_d1
-
-
-def _default_seed() -> int:
-    value = os.environ.get("PA_LAB_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise AnalysisError(f"PA_LAB_SEED={value!r} is not an integer") from None
 
 
 def _read(path: str) -> str:
@@ -65,10 +56,10 @@ def _write(path: str, text: str):
 
 
 def _load_grammar(name_or_path: str, graph):
-    """A `.cfg` file, or a built-in one with no more Dyck kinds than the graph has labels."""
+    """A `.cfg` file, or a built-in one with at most max(1, label count) Dyck kinds."""
     if name_or_path.endswith(".cfg"):
         return textio.parse_grammar(_read(name_or_path))
-    return builtin_grammar(name_or_path, max_kinds=len(graph.alphabet))
+    return builtin_grammar(name_or_path, max_kinds=max(1, len(graph.alphabet)))
 
 
 def _print_stats(stats):
@@ -208,8 +199,7 @@ def cmd_bench(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process. `--seed` defaults to None, and
-    `main` reads PA_LAB_SEED at call time."""
+    """The parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="palab",
         description="points-to analysis, Dyck/CFL reachability, and cross-checked reductions",
@@ -249,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=["bmm", "peg", "pt-prime", "triangle"])
     p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--max-n", type=_count, default=8, help="instance size cap (bmm, triangle)")
-    p.add_argument("--seed", type=int, default=None, help="default: $PA_LAB_SEED or 0")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", default="case1", help="statement profile for the bmm suite")
     p.add_argument("--directed", action="store_true", help="directed triangle mode")
     p.set_defaults(func=cmd_crosscheck)
@@ -261,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stmts", type=_count, default=10, help="statement count cap (program)")
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--directed", action="store_true")
-    p.add_argument("--seed", type=int, default=None, help="default: $PA_LAB_SEED or 0")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", help="output file (default stdout)")
     p.set_defaults(func=cmd_gen)
 
@@ -270,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", required=True, type=_sizes, help="comma-separated sizes, e.g. 50,100,200"
     )
     p.add_argument("--suite", default="reach-d1", choices=["reach-d1", "solve"])
-    p.add_argument("--seed", type=int, default=None, help="default: $PA_LAB_SEED or 0")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
     return parser
@@ -279,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) is None:
-            args.seed = _default_seed()
         return args.func(args)
     except (AnalysisError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -38,7 +38,7 @@ class UnknownVariableError(AnalysisError):
 class AlphabetMismatchError(AnalysisError):
     def __init__(self, labels: Iterable[str]):
         self.labels = tuple(sorted(labels))
-        super().__init__(f"edge labels not in grammar terminals: {', '.join(self.labels)}")
+        super().__init__(f"labels not in grammar terminals: {', '.join(self.labels)}")
 
 
 class InvalidNodeError(AnalysisError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .model import (
-    BadEdgeLabelError,
+    AlphabetMismatchError,
     BooleanMatrix,
     DimensionMismatchError,
     DYCK_CLOSE,
@@ -44,10 +44,6 @@ class D1Instance:
 
     graph: LabeledDigraph
     map: ReductionMap
-
-    def __post_init__(self):
-        if not self.graph.alphabet <= DYCK_LABELS:
-            raise BadEdgeLabelError("instance alphabet must be the two Dyck-1 labels")
 
 
 @dataclass(frozen=True)
@@ -142,9 +138,8 @@ def d1_to_program(
     `model`); temps are fresh per gadget. `prune_isolated` drops the node
     gadgets of degree-0 nodes.
     """
-    bad = {label for _, label, _ in graph.edges} - DYCK_LABELS
-    if bad:
-        raise BadEdgeLabelError(f"non-Dyck-1 edge labels: {sorted(bad)}")
+    if not graph.alphabet <= DYCK_LABELS:
+        raise AlphabetMismatchError(graph.alphabet - DYCK_LABELS)
 
     node_gadget, open_gadget, close_gadget = profile.gadgets
     if prune_isolated:

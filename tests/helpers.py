@@ -15,7 +15,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from palab.cfl import NormalizedGrammar, _closure, _first_sets, _nullable_closure
+from palab.cfl import NormalizedGrammar, _closure
 from palab.crosscheck import CheckReport, worked_dyck_graph
 from palab.model import (
     AnalysisError,
@@ -79,6 +79,39 @@ def path_strings(graph: LabeledDigraph) -> dict[tuple[int, int], set[tuple[str, 
     return out
 
 
+# The nullable and First fixpoints of `cfl`, copied so that `derives` and
+# `reference_follow_sets` share no code with the engine they check.
+def reference_nullable(productions: Sequence[tuple[str, tuple[str, ...]]]) -> set[str]:
+    nullable: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in productions:
+            if lhs not in nullable and all(sym in nullable for sym in rhs):
+                nullable.add(lhs)
+                changed = True
+    return nullable
+
+
+def reference_first_sets(grammar: Grammar, nullable: set[str]) -> dict[str, set[str]]:
+    first: dict[str, set[str]] = {t: {t} for t in grammar.terminals}
+    for nt in grammar.nonterminals:
+        first[nt] = set()
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in grammar.productions:
+            acc = first[lhs]
+            before = len(acc)
+            for sym in rhs:
+                acc |= first[sym]
+                if sym not in nullable:
+                    break
+            if len(acc) != before:
+                changed = True
+    return first
+
+
 def derives(grammar: Grammar, symbol: str, word: Sequence[str]) -> bool:
     """Earley chart check: does `symbol` derive the given terminal string?
 
@@ -93,7 +126,7 @@ def derives(grammar: Grammar, symbol: str, word: Sequence[str]) -> bool:
         if tok not in grammar.terminals:
             return False
 
-    nullable = _nullable_closure(grammar.productions)
+    nullable = reference_nullable(grammar.productions)
     prods = list(grammar.productions)
     by_lhs: dict[str, list[int]] = {}
     for idx, (lhs, _) in enumerate(prods):
@@ -188,8 +221,8 @@ def reference_follow_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
     """Follow(t) for each terminal t: the terminals that can appear
     immediately to the right of t in a sentential form derivable from any
     nonterminal of the grammar."""
-    nullable = _nullable_closure(grammar.productions)
-    first = _first_sets(grammar, nullable)
+    nullable = reference_nullable(grammar.productions)
+    first = reference_first_sets(grammar, nullable)
 
     # Follow over nonterminals without end markers, every nonterminal a root.
     follow_nt: dict[str, set[str]] = {nt: set() for nt in grammar.nonterminals}

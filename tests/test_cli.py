@@ -157,13 +157,15 @@ def test_bad_flags_exit_2():
     assert err.value.code == 2
 
 
-def test_seed_env_default(workdir, capsys, monkeypatch):
-    monkeypatch.setenv("PA_LAB_SEED", "2")
-    out1 = workdir / "e1.lg"
-    assert main(["gen", "dyck-graph", "-n", "6", "-m", "8", "-o", str(out1)]) == 0
-    out2 = workdir / "e2.lg"
-    assert main(["gen", "dyck-graph", "-n", "6", "-m", "8", "--seed", "2", "-o", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_seed_comes_only_from_the_flag(workdir, capsys, monkeypatch):
+    explicit = workdir / "seed0.lg"
+    assert main(["gen", "dyck-graph", "-n", "6", "-m", "8", "--seed", "0", "-o", str(explicit)]) == 0
+    for value in ("abc", "2"):
+        monkeypatch.setenv("PA_LAB_SEED", value)
+        out = workdir / f"env{value}.lg"
+        assert main(["gen", "dyck-graph", "-n", "6", "-m", "8", "-o", str(out)]) == 0
+        assert out.read_bytes() == explicit.read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 def test_reach_with_grammar_file(workdir, capsys):
@@ -276,27 +278,6 @@ def test_digit_node_name_exits_2(workdir, capsys):
     assert "reads as a node id" in _reach_error(
         workdir, capsys, text, "--source", "3", "--target", "b"
     )
-
-
-def test_malformed_seed_env_exits_2_without_traceback(capsys, monkeypatch):
-    monkeypatch.setenv("PA_LAB_SEED", "abc")
-    assert main(["gen", "matrix", "-n", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: PA_LAB_SEED='abc' is not an integer\n"
-
-
-def test_seed_env_is_read_on_every_call(workdir, capsys, monkeypatch):
-    outs = {}
-    for seed in ("2", "3"):
-        monkeypatch.setenv("PA_LAB_SEED", seed)
-        outs[seed] = workdir / f"env{seed}.lg"
-        assert main(["gen", "dyck-graph", "-n", "6", "-m", "8", "-o", str(outs[seed])]) == 0
-    for seed, env_out in outs.items():
-        explicit = workdir / f"arg{seed}.lg"
-        assert main(["gen", "dyck-graph", "-n", "6", "-m", "8", "--seed", seed, "-o", str(explicit)]) == 0
-        assert env_out.read_bytes() == explicit.read_bytes()
-    assert outs["2"].read_bytes() != outs["3"].read_bytes()
 
 
 def test_analyze_stats_go_to_stderr_only(workdir, capsys):
@@ -431,6 +412,31 @@ def test_dyck_count_up_to_the_label_count_runs(workdir, capsys):
     for grammar in ("d1", "dyck:1", "dyck:2"):
         assert main(["reach", str(graph), "--grammar", grammar]) == 0
         assert capsys.readouterr().out == "0 -> 2\n"
+
+
+def test_dyck_1_answers_a_graph_with_no_labels_as_d1_does(workdir, capsys):
+    graph = workdir / "g.lg"
+    graph.write_text("nodes 3\n")
+    outs = []
+    for grammar in ("d1", "dyck:1"):
+        assert main(["reach", str(graph), "--grammar", grammar, "--include-self"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[1] == outs[0] and outs[0].out == "0 -> 0\n1 -> 1\n2 -> 2\n"
+    assert main(["reach", str(graph), "--grammar", "dyck:2"]) == 2
+    assert capsys.readouterr().err == "error: dyck:2: 2 bracket kinds exceed the 1 allowed\n"
+
+
+def test_a_declared_non_dyck_label_is_refused_alike_by_reach_and_reduce(workdir, capsys):
+    graph = workdir / "g.lg"
+    graph.write_text("nodes 2\nalphabet [1 ]1 x\n0 [1 1\n")
+    program = workdir / "p.pa"
+    for argv in (
+        ["reach", str(graph), "--grammar", "d1"],
+        ["reduce", "d1-to-pa", str(graph), "-o", str(program)],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: labels not in grammar terminals: x\n")
+    assert not program.exists()
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from palab.crosscheck import (
     worked_triangle_graph,
 )
 from palab.model import (
-    BadEdgeLabelError,
+    AlphabetMismatchError,
     BooleanMatrix,
     DimensionMismatchError,
     DYCK_LABELS,
@@ -26,7 +26,6 @@ from palab.model import (
 )
 from palab.peg import ExprForm, build_peg
 from palab.reductions import (
-    D1Instance,
     StInstance,
     bmm_to_d1,
     d1_to_program,
@@ -144,8 +143,9 @@ def test_single_node_smallest_profile():
 
 def test_non_bracket_labels_are_rejected():
     g = LabeledDigraph(2, {"e"}, {(0, "e", 1)})
-    with pytest.raises(BadEdgeLabelError):
+    with pytest.raises(AlphabetMismatchError) as err:
         d1_to_program(g, StatementProfile.CASE1)
+    assert err.value.labels == ("e",)
 
 
 def test_profile_purity_and_size_accounting():
@@ -369,8 +369,6 @@ def test_triangle_layer_names_never_read_as_node_ids():
 
 def test_instances_check_their_own_shape():
     rmap = ReductionMap((), {})
-    with pytest.raises(BadEdgeLabelError, match="two Dyck-1 labels"):
-        D1Instance(LabeledDigraph(2, {"e"}, {(0, "e", 1)}), rmap)
     path = LabeledDigraph(3, DYCK_LABELS, {(0, "[1", 1), (1, "]1", 2)})
     assert StInstance(path, 0, 2, rmap).t == 2
     with pytest.raises(InvalidParamsError, match="source node must have no incoming edges"):
