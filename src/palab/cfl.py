@@ -9,16 +9,24 @@ index that right joins read when it pops, not when it is derived: w is
 appended to the list of v's sources, so a right join visits sources in pop
 order with no bit walk. Every pair of facts of a binary rule is still
 joined by the time the later of the two pops (see `_closure`).
+A transitive symbol, one with the rule X -> X X (`S`, and `-S` in `pt`),
+is not joined with itself. Each fact (u, X, v) that another rule derives
+is a base fact and adds a copy edge from row v to row u, and a pop of X
+at a row sends its new targets along the row's copy edges, as the
+points-to solver moves a delta along `pt(b) ⊆ pt(a)`. So each fact of X
+is derived once, not again through every intermediate node of the path
+it spans.
 Only work that a join reads is done. A static symbol (a terminal, or one
 whose rules read static symbols only) has its rows filled once before the
 first pop, walking only their non-empty rows, and a symbol that no rule
 reads (`D1`, `Pt`, `Pt'`) gains facts but never pops. A column index is
-kept only for a left operand whose right partner pops: in `pt` for `S`,
-`-S` and three helpers, not for the terminals `as`, `d`, `-d`, `r` and
-`-sa`, whose partners are static. The rows that still have joins to make
-wait in two queues: helper rows pop before nonterminal rows, so the
-targets that helpers derive for a nonterminal row coalesce into its
-pending delta rather than into a later pop.
+kept only for a left operand whose right partner pops: in `pt` for three
+helpers, not for `S` and `-S`, whose only such rule is their own X -> X X,
+nor for the terminals `as`, `d`, `-d`, `r` and `-sa`, whose partners are
+static. The rows that still have joins to make wait in two queues: helper
+rows pop before nonterminal rows, so the targets that helpers derive for a
+nonterminal row coalesce into its pending delta rather than into a later
+pop.
 Binarization first folds each run of two or more terminals in a longer
 body into one helper, whose facts are at most the graph's paths that spell
 the run, then shares one helper per body suffix across productions.
@@ -157,15 +165,19 @@ class NormalizedGrammar:
     sorted-name order. The rule tables are indexed by code and list, in
     `binary_productions` order: L for each L -> X in `unit_by[X]`, (Y, L)
     for each L -> X Y in `left_of[X]`, and (Y, L) for each L -> Y X in
-    `right_of[X]`.
+    `right_of[X]`, save the rules X -> X X. `transitive[X]` is True iff
+    X -> X X is a rule; `_closure` saturates that rule along copy edges, so
+    it is in neither `left_of[X]` nor `right_of[X]`, but it still counts
+    below as a rule of X that reads X.
 
     A symbol is static if it is a terminal or if every rule with it as
     head reads static symbols only (least fixpoint), and unread if no rule
     reads it. `queue_of[X]` names the worklist that X's rows enter: None
     for a static or unread symbol, whose rows never pop; 0 for a helper,
     whose rows pop first; 1 for a grammar nonterminal. `indexed[X]` is
-    True iff some rule L -> X Y has a Y with a queue: only a pop of such a
-    Y reads the column index of X, so no other symbol gets one.
+    True iff some rule L -> X Y of `left_of` has a Y with a queue: only a
+    pop of such a Y reads the column index of X, so no other symbol gets
+    one.
     `static_rules` lists, as (L, operand codes), every rule that reads
     static symbols only: first the rules of the static heads in the order
     they became static, then the others in `binary_productions` order.
@@ -180,6 +192,7 @@ class NormalizedGrammar:
     left_of: tuple[tuple[tuple[int, int], ...], ...]
     right_of: tuple[tuple[tuple[int, int], ...], ...]
     queue_of: tuple[Optional[int], ...]
+    transitive: tuple[bool, ...]
     indexed: tuple[bool, ...]
     static_rules: tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -208,9 +221,11 @@ def normalize(grammar: Grammar) -> NormalizedGrammar:
 
     Last, the static symbols are found by least fixpoint from the
     terminals, each symbol gets the worklist its rows enter (`queue_of`,
-    see `NormalizedGrammar`), and the left operands that a popping right
+    see `NormalizedGrammar`), each X -> X X marks X `transitive` instead of
+    entering the join tables, and the left operands that a popping right
     operand joins get a column index (`indexed`). In `pt` the six
-    terminal-pair helpers are static; `D1`, `Pt` and `Pt'` are unread.
+    terminal-pair helpers are static; `D1`, `Pt` and `Pt'` are unread; `S`
+    and `-S` are transitive and have no column index.
 
     Results are cached per grammar value; every caller shares the one
     read-only value.
@@ -289,9 +304,12 @@ def normalize(grammar: Grammar) -> NormalizedGrammar:
     unit_by: list[list[int]] = [[] for _ in codes]
     left_of: list[list[tuple[int, int]]] = [[] for _ in codes]
     right_of: list[list[tuple[int, int]]] = [[] for _ in codes]
+    transitive = [False] * len(codes)
     for lhs, rhs in deduped:
         if len(rhs) == 1:
             unit_by[codes[rhs[0]]].append(codes[lhs])
+        elif rhs == (lhs, lhs):
+            transitive[codes[lhs]] = True
         else:
             x, y = codes[rhs[0]], codes[rhs[1]]
             left_of[x].append((y, codes[lhs]))
@@ -325,6 +343,7 @@ def normalize(grammar: Grammar) -> NormalizedGrammar:
         left_of=tuple(map(tuple, left_of)),
         right_of=tuple(map(tuple, right_of)),
         queue_of=queue_of,
+        transitive=tuple(transitive),
         indexed=tuple(any(queue_of[y] is not None for y, _ in left) for left in left_of),
         static_rules=tuple(
             (codes[lhs], tuple(codes[sym] for sym in rhs)) for lhs, rhs in static_rules
@@ -397,6 +416,24 @@ def _closure(graph: LabeledDigraph, norm: NormalizedGrammar, stats: Optional[dic
     (None before it). An add carries only targets not yet in `out`, so
     each fact pops at most once and each source is listed once.
 
+    A symbol X of `norm.transitive` saturates X -> X X along copy edges,
+    not by joins. After its joins, a pop of X at u sends its delta along
+    copies[X][u]: each w listed there gains the targets it lacks, and they
+    are also OR-ed into the pending sent[X][w]. Every other add to X comes
+    from another rule, so the bits of a popped delta D outside sent[X][u]
+    are base facts. The pop walks those bits once: for each v it appends u
+    to copies[X][v], the copy-edge list of v, and it ORs out[X][v] into
+    out[X][u] and into D, before D is indexed and joined. When every bit
+    of D is a base bit, the joins reuse that walk. This is exact because
+    X = B+ for the base facts B: every fact of X is a chain of base facts,
+    and for each registered (u, X, v) all of out[X][v] reaches out[X][u],
+    since the registering pop pulls the row and every later target of v
+    pops in a delta that is sent along copies[X][v]. A base fact already
+    in out[X][u] when it is derived is not registered: it is the end of a
+    chain of base facts that are registered or pending, whose copy edges
+    carry its targets to u. Each fact of X pops once, in the delta that
+    adds or pulls it, so the argument below covers X's other rules too.
+
     Each pair of facts A = (w, Y, u), B = (u, X, v) of a rule L -> Y X is
     joined. If Y is static, B's right join reads the complete in[Y]. If X
     is static, A's left join reads the complete out[X], and no join reads
@@ -410,14 +447,17 @@ def _closure(graph: LabeledDigraph, norm: NormalizedGrammar, stats: Optional[dic
     worklist; at the fixpoint the diagonal is OR-ed into the rows of the
     nullable symbols.
 
-    When `stats` is a dict it receives `pops`, `joined_rows` (column list
-    entries visited by right joins) and `summaries` (set bits per symbol of
-    `norm.codes`, helpers included).
+    When `stats` is a dict it receives `pops`, `joined_rows` (list entries
+    that pops visit: column lists read by right joins and copy-edge lists
+    read by sends), `copy_edges` (base facts registered) and `summaries`
+    (set bits per symbol of `norm.codes`, helpers included).
     """
     codes, unit_by, left_of, right_of = norm.codes, norm.unit_by, norm.left_of, norm.right_of
     n = graph.node_count
     out = [[0] * n for _ in codes]
     inn = [[None] * n if kept else None for kept in norm.indexed]
+    copies = [[None] * n if kept else None for kept in norm.transitive]
+    sent = [[0] * n if kept else None for kept in norm.transitive]
     delta = [[0] * n for _ in codes]
     first: deque[tuple[int, int]] = deque()
     later: deque[tuple[int, int]] = deque()
@@ -459,15 +499,41 @@ def _closure(graph: LabeledDigraph, norm: NormalizedGrammar, stats: Optional[dic
                     else:
                         ws.append(u)
 
-    pops = joined = 0
+    pops = joined = registered = 0
     while first or later:
         c, u = (first or later).popleft()
         pops += 1
         d = delta[c][u]
         delta[c][u] = 0
+        vs = None
+        edges = copies[c]
+        if edges is not None:
+            own, by_edge = out[c], sent[c]
+            b = d & ~by_edge[u]
+            by_edge[u] = 0
+            if b:
+                bs = _ones(b)
+                registered += len(bs)
+                acc = 0
+                for v in bs:
+                    acc |= own[v]
+                    ws = edges[v]
+                    if ws is None:
+                        edges[v] = [u]
+                    else:
+                        ws.append(u)
+                if b == d:
+                    vs = bs
+                new = acc & ~own[u]
+                if new:
+                    own[u] |= new
+                    d |= new
+                    if vs is not None:
+                        vs += _ones(new)
         left = left_of[c]
         if left:
-            vs = _ones(d)
+            if vs is None:
+                vs = _ones(d)
             col = inn[c]
             if col is not None:
                 for v in vs:
@@ -498,6 +564,15 @@ def _closure(graph: LabeledDigraph, norm: NormalizedGrammar, stats: Optional[dic
                 new = d & ~row[w]
                 if new:
                     add(lhs, w, new)
+        if edges is not None:
+            ws = edges[u]
+            if ws is not None:
+                joined += len(ws)
+                for w in ws:
+                    new = d & ~own[w]
+                    if new:
+                        add(c, w, new)
+                        by_edge[w] |= new
     for sym in norm.nullable:
         rows = out[codes[sym]]
         for v in range(n):
@@ -506,6 +581,7 @@ def _closure(graph: LabeledDigraph, norm: NormalizedGrammar, stats: Optional[dic
         stats.update(
             pops=pops,
             joined_rows=joined,
+            copy_edges=registered,
             summaries={sym: sum(row.bit_count() for row in out[c]) for sym, c in codes.items()},
         )
     return out

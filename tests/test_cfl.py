@@ -185,6 +185,12 @@ _HAND_GRAMMARS = {
         "X",
         [("X", ("P", "c")), ("P", ("a", "X")), ("X", ("X", "X")), ("X", ("b",)), ("X", ())],
     ),
+    # X is transitive and not nullable, and the popping Z reads its column
+    # under W -> X Z, so a pop of X fills both in[X] and X's copy-edge list
+    "transitive column": (
+        "W",
+        [("X", ("X", "X")), ("X", ("a",)), ("X", ("c", "X")), ("Z", ("b", "X")), ("W", ("X", "Z"))],
+    ),
 }
 
 
@@ -227,6 +233,32 @@ def test_engine_matches_reference_saturation():
                 assert st_query(g, grammar, s, t) == ((s, t) in start_pairs), (trial, name, s, t)
 
 
+def test_engine_matches_reference_saturation_on_cycle_dense_graphs():
+    # Three edges per node close many cycles of each transitive symbol, so
+    # base facts land on rows whose copy-edge lists are already in use and
+    # a pop pulls targets that its delta did not carry.
+    from palab.crosscheck import rand_program
+
+    dyck2, pt_prime = builtin_grammar("dyck:2"), builtin_grammar("pt_prime")
+    column = _hand_grammar("transitive column")
+    cases = []
+    for seed in range(40):
+        cases.append((D1, helpers.rand_labeled_graph(["[1", "]1"], 6, 18, seed)))
+        cases.append((dyck2, helpers.rand_labeled_graph(["[1", "]1", "[2", "]2"], 6, 20, seed)))
+        peg = build_peg(rand_program(3, 12, 300 + seed)).graph
+        cases += [(PT, peg), (pt_prime, peg)]
+        cases += [(column, helpers.rand_labeled_graph(["a", "b", "c"], 6, 18, seed + k)) for k in (0, 100)]
+    for trial, (grammar, g) in enumerate(cases):
+        expected = helpers.reference_saturation(g, grammar)
+        summaries = all_pairs(g, grammar)
+        for sym, pairs in expected.items():
+            assert summaries.pairs(sym) == pairs, (trial, grammar.start, sym)
+        start_pairs = expected[grammar.start]
+        for s in range(g.node_count):
+            for t in range(g.node_count):
+                assert st_query(g, grammar, s, t) == ((s, t) in start_pairs), (trial, s, t)
+
+
 def test_answers_do_not_depend_on_node_numbering():
     # Relabeling reorders the sorted edges, hence the pops and every column list.
     import random
@@ -262,18 +294,19 @@ def test_answers_do_not_depend_on_node_numbering():
 
 
 def test_a_pop_joins_with_its_own_column_entry():
-    # A pop of (X, u) whose delta holds u enters u in in[X][u] before its
-    # right join reads in[X][u] under a rule L -> X X, so that join visits
-    # the pop's own entry. Its facts are also found by the left join, which
-    # reads out[X][u], so the summaries alone cannot show the order:
-    # `joined_rows` does.
+    # X -> X X is saturated along copy edges: a pop of (X, u) whose base
+    # facts include (u, X, u) enters u in X's copy-edge list at u before it
+    # sends its delta along that list, so the send visits the pop's own
+    # entry. The send adds nothing new to row u, so the summaries alone
+    # cannot show the order: `joined_rows` does.
     loop = Grammar({"a"}, {"X"}, [("X", ("X", "X")), ("X", ("a",))], "X")
     g = LabeledDigraph(1, {"a"}, {(0, "a", 0)})
     stats = {}
     summaries = all_pairs(g, loop, stats=stats)
     assert summaries.pairs("X") == helpers.reference_saturation(g, loop)["X"] == {(0, 0)}
     # pops: X only (the static a never pops; X -> a is applied before the
-    # loop); X's right join visits in[X][0] == [0]
+    # loop and gives the base fact (0, X, 0)); the pop registers it and its
+    # send visits X's copy-edge list at 0, [0]
     assert (stats["pops"], stats["joined_rows"]) == (1, 1)
 
     g = LabeledDigraph(1, DYCK_LABELS, {(0, "[1", 0), (0, "]1", 0)})
@@ -283,8 +316,9 @@ def test_a_pop_joins_with_its_own_column_entry():
     for sym in ("D1", "S", "[1", "]1"):
         assert summaries.pairs(sym) == expected[sym] == {(0, 0)}, sym
     # pops: @1 (from @1 -> ]1 before the loop; S -> [1 @1 visits the static
-    # in[[1][0] == [0]), then S, whose right join under S -> S S visits
-    # in[S][0] == [0]; the terminals and the unread D1 never pop
+    # in[[1][0] == [0] and derives the base fact (0, S, 0)), then S, which
+    # registers that fact and whose send visits S's copy-edge list at 0, [0];
+    # the terminals and the unread D1 never pop
     assert (stats["pops"], stats["joined_rows"]) == (2, 2)
 
 
@@ -325,8 +359,8 @@ def test_terminal_runs_fold_into_shared_helpers():
 # (pops, joined_rows, summaries over every symbol) on the 111-node PEG of
 # rand_program(40, 80, 2)
 PINNED_PEG_COUNTERS = {
-    "pt": (436, 1399, 2710),
-    "pt_prime": (58, 21, 795),
+    "pt": (344, 405, 2710),
+    "pt_prime": (52, 21, 795),
 }
 
 
@@ -443,10 +477,10 @@ def test_queue_table_keeps_static_and_unread_rows_off_the_worklist():
 
 # the symbols that get a column index in[X]
 INDEXED_COLUMNS = {
-    "d1": {"S", "[1"},
-    "dyck:2": {"S", "[1", "[2"},
-    "pt": {"S", "-S", "@1", "@4", "@9"},
-    "pt_prime": {"S", "-S", "@1", "@4"},
+    "d1": {"[1"},
+    "dyck:2": {"[1", "[2"},
+    "pt": {"@1", "@4", "@9"},
+    "pt_prime": {"@1", "@4"},
 }
 
 
@@ -500,7 +534,7 @@ def test_engine_counters_repeat_and_stay_opt_in():
     summaries = all_pairs(g, D1, stats=first)
     assert all_pairs(g, D1, stats=second) == summaries == all_pairs(g, D1)
     assert first == second
-    assert set(first) == {"pops", "joined_rows", "summaries"}
+    assert set(first) == {"pops", "joined_rows", "copy_edges", "summaries"}
     assert first["pops"] > 0
     for sym in ("D1", "S", "[1", "]1"):
         assert first["summaries"][sym] == len(summaries.pairs(sym))
@@ -532,16 +566,21 @@ def test_normalize_compiles_symbol_codes_and_rule_tables():
         for table in (norm.unit_by, norm.left_of, norm.right_of):
             assert isinstance(table, tuple) and len(table) == len(names)
             assert all(isinstance(row, tuple) for row in table)
+        assert isinstance(norm.transitive, tuple) and len(norm.transitive) == len(names)
+        # each X -> X X is decoded from `transitive` and is in no join table
+        doubled = [rule for rule in rules if rule[1] == (rule[0], rule[0])]
+        assert [(sym, (sym, sym)) for x, sym in enumerate(names) if norm.transitive[x]] == sorted(doubled)
+        joins = [rule for rule in rules if len(rule[1]) == 2 and rule not in doubled]
         # decoded row by row, in binary_productions order
         for x, sym in enumerate(names):
             assert [(names[lhs], (sym,)) for lhs in norm.unit_by[x]] == [
                 rule for rule in rules if rule[1] == (sym,)
             ], (grammar.start, sym)
             assert [(names[lhs], (sym, names[y])) for y, lhs in norm.left_of[x]] == [
-                rule for rule in rules if len(rule[1]) == 2 and rule[1][0] == sym
+                rule for rule in joins if rule[1][0] == sym
             ], (grammar.start, sym)
             assert [(names[lhs], (names[y], sym)) for y, lhs in norm.right_of[x]] == [
-                rule for rule in rules if len(rule[1]) == 2 and rule[1][1] == sym
+                rule for rule in joins if rule[1][1] == sym
             ], (grammar.start, sym)
 
 

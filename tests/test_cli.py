@@ -363,7 +363,7 @@ def test_reach_stats_go_to_stderr_only(workdir, capsys, query):
     assert runs[0].out == runs[1].out == plain.out
     assert runs[0].err == runs[1].err
     stats = json.loads(runs[0].err)
-    assert set(stats) == {"pops", "joined_rows", "summaries"}
+    assert set(stats) == {"pops", "joined_rows", "copy_edges", "summaries"}
     assert stats["pops"] > 0 and stats["summaries"]["D1"] > 0
 
 
