@@ -1,40 +1,20 @@
 """Generic CFL/Dyck reachability over labeled digraphs.
 
-`normalize` compiles each grammar once (cached per grammar value): it
-binarizes the productions, codes every symbol, and builds the rule tables.
-`all_pairs` saturates summary edges with a semi-naive worklist closure over
-those tables, one bitset row of targets per (symbol, source); `st_query`
-reads one pair of that full saturation. A fact (w, X, v) enters the column
-index that right joins read when it pops, not when it is derived: w is
-appended to the list of v's sources, so a right join visits sources in pop
-order with no bit walk. Every pair of facts of a binary rule is still
-joined by the time the later of the two pops (see `_closure`).
-A transitive symbol, one with the rule X -> X X (`S`, and `-S` in `pt`),
-is not joined with itself. Each fact (u, X, v) that another rule derives
-is a base fact and adds a copy edge from row v to row u, and a pop of X
-at a row sends its new targets along the row's copy edges, as the
-points-to solver moves a delta along `pt(b) ⊆ pt(a)`. So each fact of X
-is derived once, not again through every intermediate node of the path
-it spans.
-Only work that a join reads is done. A static symbol (a terminal, or one
-whose rules read static symbols only) has its rows filled once before the
-first pop, walking only their non-empty rows, and a symbol that no rule
-reads (`D1`, `Pt`, `Pt'`) gains facts but never pops. A column index is
-kept only for a left operand whose right partner pops: in `pt` for three
-helpers, not for `S` and `-S`, whose only such rule is their own X -> X X,
-nor for the terminals `as`, `d`, `-d`, `r` and `-sa`, whose partners are
-static. The rows that still have joins to make wait in two queues: helper
-rows pop before nonterminal rows, so the targets that helpers derive for a
-nonterminal row coalesce into its pending delta rather than into a later
-pop.
-Binarization first folds each run of two or more terminals in a longer
-body into one helper, whose facts are at most the graph's paths that spell
-the run, then shares one helper per body suffix across productions.
-Epsilon never enters the worklist: unit rules compensate for nullable
-operands, and the diagonal of each nullable symbol is added at the end.
-The built-in grammars (Dyck-1, generalized Dyck, and the two
-points-to-analysis reachability grammars over PEG labels) live here too,
-together with a terminal Follow-set analysis.
+`normalize` compiles a grammar once (cached per grammar value) into the
+tables of a `NormalizedGrammar`. `_closure`, the engine's only entry,
+refuses a graph label outside the grammar's terminals, compiles, and
+saturates the summary edges over those tables with a semi-naive worklist,
+one bitset row of targets per (symbol, source). `all_pairs` projects the
+saturation onto the grammar's own symbols, and `st_query` reads one pair
+of it. The built-in grammars (Dyck-1, generalized Dyck, and the two
+points-to-analysis reachability grammars over PEG labels) and a terminal
+Follow-set analysis live here too.
+
+Each invariant is argued in one docstring: binarization, the terminal-run
+fold and epsilon by compensation in `normalize`; static, unread,
+transitive and indexed symbols and the two queues in `NormalizedGrammar`;
+pop-time indexing, copy edges and why every pair of facts is joined in
+`_closure`.
 """
 
 from __future__ import annotations
@@ -78,46 +58,44 @@ def dyck_grammar(k: int) -> Grammar:
     return Grammar(terminals, {start, _S}, productions, start)
 
 
-def _pt_grammar() -> Grammar:
-    # Summary reading: an S edge is a points-to subset constraint, a Pt edge
-    # is a points-to fact, and -S mirrors S along reversed paths.
-    productions = [
-        (PT_START, (_S, "r")),
-        (PT_START, ("r",)),
-        (_S, ("as", "-d", _S, "r", "d")),
-        (_S, ("-d", "-r", _SBAR, "d", "sa")),
-        (_SBAR, ("-d", "-r", _SBAR, "d", "-as")),
-        (_SBAR, ("-sa", "-d", _S, "r", "d")),
-        (_S, (_S, _S)),
-        (_SBAR, (_SBAR, _SBAR)),
-        (_S, ("s",)),
-        (_S, ()),
-        (_SBAR, ("-s",)),
-        (_SBAR, ()),
-    ]
-    return Grammar(PEG_ALPHABET, {PT_START, _S, _SBAR}, productions, PT_START)
+# Summary reading: an S edge is a points-to subset constraint, a Pt edge
+# is a points-to fact, and -S mirrors S along reversed paths.
+_PT = Grammar(PEG_ALPHABET, {PT_START, _S, _SBAR}, [
+    (PT_START, (_S, "r")),
+    (PT_START, ("r",)),
+    (_S, ("as", "-d", _S, "r", "d")),
+    (_S, ("-d", "-r", _SBAR, "d", "sa")),
+    (_SBAR, ("-d", "-r", _SBAR, "d", "-as")),
+    (_SBAR, ("-sa", "-d", _S, "r", "d")),
+    (_S, (_S, _S)),
+    (_SBAR, (_SBAR, _SBAR)),
+    (_S, ("s",)),
+    (_S, ()),
+    (_SBAR, ("-s",)),
+    (_SBAR, ()),
+], PT_START)
 
+# The subset-only fragment that survives on reduction-built PEGs.
+_PT_PRIME = Grammar(PEG_ALPHABET, {PT_PRIME_START, _S, _SBAR}, [
+    (PT_PRIME_START, (_S,)),
+    (_S, ("-d", "-r", _SBAR, "d", "sa")),
+    (_SBAR, ("-sa", "-d", _S, "r", "d")),
+    (_S, (_S, _S)),
+    (_SBAR, (_SBAR, _SBAR)),
+    (_S, ()),
+    (_SBAR, ()),
+], PT_PRIME_START)
 
-def _pt_prime_grammar() -> Grammar:
-    # The subset-only fragment that survives on reduction-built PEGs.
-    productions = [
-        (PT_PRIME_START, (_S,)),
-        (_S, ("-d", "-r", _SBAR, "d", "sa")),
-        (_SBAR, ("-sa", "-d", _S, "r", "d")),
-        (_S, (_S, _S)),
-        (_SBAR, (_SBAR, _SBAR)),
-        (_S, ()),
-        (_SBAR, ()),
-    ]
-    return Grammar(PEG_ALPHABET, {PT_PRIME_START, _S, _SBAR}, productions, PT_PRIME_START)
+# The fixed built-in grammars, built once; only dyck:<k> is built per call.
+_FIXED = {"d1": dyck_grammar(1), "pt": _PT, "pt_prime": _PT_PRIME}
 
 
 def builtin_grammar(name: str, max_kinds: Optional[int] = None) -> Grammar:
     """Look up a built-in grammar: d1, dyck:<k>, pt, or pt_prime. A dyck:<k>
     with k above `max_kinds` is refused before its 2k terminals are built."""
     key = name.replace("-", "_").lower()
-    if key == "d1":
-        return dyck_grammar(1)
+    if key in _FIXED:
+        return _FIXED[key]
     if key.startswith("dyck:"):
         count = key[len("dyck:"):]
         if not is_count(count):
@@ -126,10 +104,6 @@ def builtin_grammar(name: str, max_kinds: Optional[int] = None) -> Grammar:
         if max_kinds is not None and kinds > max_kinds:
             raise InvalidParamsError(f"{name}: {kinds} bracket kinds exceed the {max_kinds} allowed")
         return dyck_grammar(kinds)
-    if key == "pt":
-        return _pt_grammar()
-    if key == "pt_prime":
-        return _pt_prime_grammar()
     raise InvalidParamsError(f"unknown builtin grammar {name!r}")
 
 
@@ -174,7 +148,9 @@ class NormalizedGrammar:
     head reads static symbols only (least fixpoint), and unread if no rule
     reads it. `queue_of[X]` names the worklist that X's rows enter: None
     for a static or unread symbol, whose rows never pop; 0 for a helper,
-    whose rows pop first; 1 for a grammar nonterminal. `indexed[X]` is
+    whose rows pop first, so the targets that helpers derive for a
+    nonterminal row coalesce into its pending delta rather than into a
+    later pop; 1 for a grammar nonterminal. `indexed[X]` is
     True iff some rule L -> X Y of `left_of` has a Y with a queue: only a
     pop of such a Y reads the column index of X, so no other symbol gets
     one.
@@ -388,77 +364,80 @@ class SummarySet:
         return frozenset((u, v) for u, row in enumerate(self.rows(symbol)) for v in _ones(row))
 
 
-def _check_alphabet(graph: LabeledDigraph, grammar: Grammar):
-    offending = graph.alphabet - grammar.terminals
-    if offending:
-        raise AlphabetMismatchError(offending)
+def _closure(graph: LabeledDigraph, grammar: Grammar, stats: Optional[dict] = None):
+    """The engine's only entry: semi-naive saturation over bitset rows.
+    Returns (out, norm) at the fixpoint, norm = normalize(grammar).
 
-
-def _closure(graph: LabeledDigraph, norm: NormalizedGrammar, stats: Optional[dict] = None):
-    """Semi-naive saturation over bitset rows; returns out at the fixpoint.
+    A label that the graph declares outside `grammar.terminals` is refused
+    with AlphabetMismatchError before the grammar is compiled.
 
     out[X][u] is the bitset of the targets v of the summaries (u, X, v), X a
     symbol code of `norm.codes`; the rule tables are `norm`'s. Before the
     loop, the terminal rows are filled from the edges, the rules of
-    `norm.static_rules` are applied once in their order, so each static row
-    is complete before a later rule reads it, and the columns of every
-    static symbol of `norm.indexed` are indexed in row order; both walk
-    only the non-empty rows. New targets of a row with a queue in
-    `norm.queue_of` wait as one coalesced delta per (X, u) in that queue;
-    helper rows pop before nonterminal rows. Popping a delta D of X at row
-    u first indexes it in the column index in[X], if X has one, then joins
-    L -> X Y by OR-ing the out[Y] rows over the bits of D into out[L][u],
-    and L -> Y X by OR-ing D into out[L][w] for each w in in[Y][u]. The
-    index is kept only for the symbols of `norm.indexed`, the left operands
-    X of a rule L -> X Y whose Y pops, since only such a pop reads in[X]:
-    in[X][v] is the list of the sources w of the facts (w, X, v), in pop
-    order (row order for a static X), created on the column's first fact
-    (None before it). An add carries only targets not yet in `out`, so
-    each fact pops at most once and each source is listed once.
+    `norm.static_rules` are applied once in their order, so each static row is
+    complete before a later rule reads it, and the columns of every static
+    symbol of `norm.indexed` are indexed in row order; both walk only the
+    non-empty rows. New targets of a row with a queue in `norm.queue_of` wait
+    as one coalesced delta per (X, u) in that queue, and delta[X] exists only
+    for such an X; helper rows pop before nonterminal rows. Popping a delta D
+    of X at row u first indexes it in the column index in[X], if X has one,
+    then joins L -> X Y by OR-ing the out[Y] rows over the bits of D into
+    out[L][u], and L -> Y X by OR-ing D into out[L][w] for each w in in[Y][u],
+    so a right join walks no bits. The index is kept only for the symbols of
+    `norm.indexed`, the left operands X of a rule L -> X Y whose Y pops, since
+    only such a pop reads in[X]: in[X][v] is the list of the sources w of the
+    facts (w, X, v), in pop order (row order for a static X), created on the
+    column's first fact (None before it). An add carries only targets not yet
+    in `out`, so each fact pops at most once and each source is listed once.
 
-    A symbol X of `norm.transitive` saturates X -> X X along copy edges,
-    not by joins. After its joins, a pop of X at u sends its delta along
-    copies[X][u]: each w listed there gains the targets it lacks, and they
-    are also OR-ed into the pending sent[X][w]. Every other add to X comes
-    from another rule, so the bits of a popped delta D outside sent[X][u]
-    are base facts. The pop walks those bits once: for each v it appends u
-    to copies[X][v], the copy-edge list of v, and it ORs out[X][v] into
-    out[X][u] and into D, before D is indexed and joined. When every bit
+    A symbol X of `norm.transitive` saturates X -> X X along copy edges, not
+    by joins, which would derive each fact of X again through every
+    intermediate node of the path it spans; the points-to solver moves a delta
+    along `pt(b) ⊆ pt(a)` the same way. After its joins, a pop of X at u sends
+    its delta along copies[X][u]: each w listed there gains the targets it
+    lacks, and they are also OR-ed into the pending sent[X][w]. Every other
+    add to X comes from another rule, so the bits of a popped delta D outside
+    sent[X][u] are base facts. The pop walks those bits once: for each v it
+    appends u to copies[X][v], the copy-edge list of v, and it ORs out[X][v]
+    into out[X][u] and into D, before D is indexed and joined. When every bit
     of D is a base bit, the joins reuse that walk. This is exact because
-    X = B+ for the base facts B: every fact of X is a chain of base facts,
-    and for each registered (u, X, v) all of out[X][v] reaches out[X][u],
-    since the registering pop pulls the row and every later target of v
-    pops in a delta that is sent along copies[X][v]. A base fact already
-    in out[X][u] when it is derived is not registered: it is the end of a
-    chain of base facts that are registered or pending, whose copy edges
-    carry its targets to u. Each fact of X pops once, in the delta that
-    adds or pulls it, so the argument below covers X's other rules too.
+    X = B+ for the base facts B: every fact of X is a chain of base facts, and
+    for each registered (u, X, v) all of out[X][v] reaches out[X][u], since
+    the registering pop pulls the row and every later target of v pops in a
+    delta that is sent along copies[X][v]. A base fact already in out[X][u]
+    when it is derived is not registered: it is the end of a chain of base
+    facts that are registered or pending, whose copy edges carry its targets
+    to u. Each fact of X pops once, in the delta that adds or pulls it, so the
+    argument below covers X's other rules too.
 
     Each pair of facts A = (w, Y, u), B = (u, X, v) of a rule L -> Y X is
-    joined. If Y is static, B's right join reads the complete in[Y]. If X
-    is static, A's left join reads the complete out[X], and no join reads
-    in[Y] for this rule. If both are, the
-    rule is one of `norm.static_rules`. If neither is, whatever the pop
-    order: if A pops first, B's right join finds it in in[Y]; if B is known
-    first, A's left join reads it in out[X]. A unit rule L -> X is applied
-    by X's pops, or before the loop for a static X. Rows of a static or
-    unread symbol never pop: no rule joins an unread one. Nullable operands
-    are carried by normalize's unit rules, so no empty-path fact enters the
-    worklist; at the fixpoint the diagonal is OR-ed into the rows of the
-    nullable symbols.
+    joined. If Y is static, B's right join reads the complete in[Y]. If X is
+    static, A's left join reads the complete out[X], and no join reads in[Y]
+    for this rule. If both are, the rule is one of `norm.static_rules`. If
+    neither is, whatever the pop order: if A pops first, B's right join finds
+    it in in[Y]; if B is known first, A's left join reads it in out[X]. A unit
+    rule L -> X is applied by X's pops, or before the loop for a static X.
+    Rows of a static or unread symbol never pop: no rule joins an unread one.
+    Nullable operands are carried by normalize's unit rules, so no empty-path
+    fact enters the worklist; at the fixpoint the diagonal is OR-ed into the
+    rows of the nullable symbols.
 
     When `stats` is a dict it receives `pops`, `joined_rows` (list entries
     that pops visit: column lists read by right joins and copy-edge lists
     read by sends), `copy_edges` (base facts registered) and `summaries`
     (set bits per symbol of `norm.codes`, helpers included).
     """
+    offending = graph.alphabet - grammar.terminals
+    if offending:
+        raise AlphabetMismatchError(offending)
+    norm = normalize(grammar)
     codes, unit_by, left_of, right_of = norm.codes, norm.unit_by, norm.left_of, norm.right_of
     n = graph.node_count
     out = [[0] * n for _ in codes]
     inn = [[None] * n if kept else None for kept in norm.indexed]
     copies = [[None] * n if kept else None for kept in norm.transitive]
     sent = [[0] * n if kept else None for kept in norm.transitive]
-    delta = [[0] * n for _ in codes]
+    delta = [None if q is None else [0] * n for q in norm.queue_of]
     first: deque[tuple[int, int]] = deque()
     later: deque[tuple[int, int]] = deque()
     queue = [None if q is None else (first, later)[q] for q in norm.queue_of]
@@ -584,7 +563,7 @@ def _closure(graph: LabeledDigraph, norm: NormalizedGrammar, stats: Optional[dic
             copy_edges=registered,
             summaries={sym: sum(row.bit_count() for row in out[c]) for sym, c in codes.items()},
         )
-    return out
+    return out, norm
 
 
 def all_pairs(
@@ -592,9 +571,7 @@ def all_pairs(
 ) -> SummarySet:
     """Every summary (u, X, v) over the grammar's own symbols; nullable
     symbols contribute (v, X, v) for every node. `stats`: see `_closure`."""
-    _check_alphabet(graph, grammar)
-    norm = normalize(grammar)
-    out = _closure(graph, norm, stats)
+    out, norm = _closure(graph, grammar, stats)
     by_symbol = []
     for sym, c in norm.codes.items():
         rows = out[c]
@@ -615,9 +592,8 @@ def st_query(
     for node in (s, t):
         if not 0 <= node < graph.node_count:
             raise InvalidNodeError(f"node {node} out of range")
-    _check_alphabet(graph, grammar)
-    norm = normalize(grammar)
-    return bool(_closure(graph, norm, stats)[norm.codes[grammar.start]][s] >> t & 1)
+    out, norm = _closure(graph, grammar, stats)
+    return bool(out[norm.codes[grammar.start]][s] >> t & 1)
 
 
 # ---------------------------------------------------------------------------

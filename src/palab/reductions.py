@@ -35,7 +35,7 @@ from .model import (
     is_identifier,
     is_node_id,
 )
-from .cfl import all_pairs, dyck_grammar
+from .cfl import all_pairs, builtin_grammar
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,11 @@ def bmm_to_d1(a: BooleanMatrix, b: BooleanMatrix) -> D1Instance:
 def multiply_via_d1(a: BooleanMatrix, b: BooleanMatrix) -> BooleanMatrix:
     """Boolean product computed by Dyck-1 reachability on the reduced graph."""
     inst = bmm_to_d1(a, b)
-    grammar = dyck_grammar(1)
+    grammar = builtin_grammar("d1")
     summaries = all_pairs(inst.graph, grammar)
     n = a.n
-    start_pairs = summaries.pairs(grammar.start)
     return BooleanMatrix(
-        [[1 if (i, 2 * n + j) in start_pairs else 0 for j in range(n)] for i in range(n)]
+        [[int(summaries.holds(i, grammar.start, 2 * n + j)) for j in range(n)] for i in range(n)]
     )
 
 

@@ -15,7 +15,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from palab.cfl import NormalizedGrammar, _closure
+from palab.cfl import _closure
 from palab.crosscheck import CheckReport, worked_dyck_graph
 from palab.model import (
     AnalysisError,
@@ -263,11 +263,11 @@ def reference_follow_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
     return {t: frozenset(ws) for t, ws in result.items()}
 
 
-def saturate(graph: LabeledDigraph, norm: NormalizedGrammar):
+def saturate(graph: LabeledDigraph, grammar: Grammar):
     """The engine's raw output as (summary triples (u, symbol code, v),
     symbol codes), helpers included, for tests that read the engine below
     the `all_pairs` projection."""
-    out = _closure(graph, norm)
+    out, norm = _closure(graph, grammar)
     triples = {
         (u, c, v) for c, rows in enumerate(out) for u, row in enumerate(rows) for v in _ones(row)
     }

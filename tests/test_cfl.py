@@ -2,6 +2,7 @@ from types import MappingProxyType
 
 import pytest
 
+import palab.cfl
 from palab.cfl import all_pairs, builtin_grammar, normalize, st_query
 from palab.crosscheck import worked_dyck_graph, worked_program, worked_triangle_graph
 from palab.model import (
@@ -53,11 +54,20 @@ def test_points_to_pairs_on_worked_program_graph():
     assert named == {("a", "&b"), ("b", "&d"), ("c", "&d")}
 
 
-def test_alphabet_mismatch_reports_offending_labels():
+def test_alphabet_mismatch_reports_offending_labels(monkeypatch):
+    def refuse(grammar):
+        raise AssertionError("normalize ran on a refused graph")
+
+    # both entries refuse before they compile the grammar
+    monkeypatch.setattr(palab.cfl, "normalize", refuse)
     g = LabeledDigraph(2, {"[1", "weird"}, {(0, "weird", 1)})
-    with pytest.raises(AlphabetMismatchError) as err:
-        all_pairs(g, D1)
-    assert err.value.labels == ("weird",)
+    for query in (lambda: all_pairs(g, D1), lambda: st_query(g, D1, 0, 1)):
+        with pytest.raises(AlphabetMismatchError) as err:
+            query()
+        assert err.value.labels == ("weird",)
+    # an out-of-range node is refused first
+    with pytest.raises(InvalidNodeError):
+        st_query(g, D1, 0, 2)
 
 
 def test_st_query_basics():
@@ -133,7 +143,7 @@ def test_membership_oracle_spot_checks():
     assert not derives(D1, "[1", ())
 
 
-def test_st_query_early_exit_agrees_with_all_pairs():
+def test_st_query_agrees_with_all_pairs_on_every_pair():
     import random
 
     from palab.crosscheck import rand_dyck_graph, rand_program
@@ -223,7 +233,7 @@ def test_engine_matches_reference_saturation():
         summaries = all_pairs(g, grammar)
         for sym, pairs in expected.items():
             assert summaries.pairs(sym) == pairs, (trial, name, sym)
-        triples, symbols = helpers.saturate(g, normalize(grammar))
+        triples, symbols = helpers.saturate(g, grammar)
         names = {c: s for s, c in symbols.items()}
         got = {(u, names[c], v) for u, c, v in triples if names[c] in expected}
         assert got == {(u, s, v) for s, ps in expected.items() for u, v in ps}, (trial, name)
@@ -274,9 +284,8 @@ def test_answers_do_not_depend_on_node_numbering():
         perm = list(range(n))
         random.Random(trial).shuffle(perm)
         moved = LabeledDigraph(n, g.alphabet, {(perm[u], a, perm[v]) for u, a, v in g.edges})
-        norm = normalize(grammar)
-        triples, _ = helpers.saturate(g, norm)
-        assert helpers.saturate(moved, norm)[0] == {
+        triples, _ = helpers.saturate(g, grammar)
+        assert helpers.saturate(moved, grammar)[0] == {
             (perm[u], c, perm[v]) for u, c, v in triples
         }, (trial, name)
         summaries, moved_summaries = all_pairs(g, grammar), all_pairs(moved, grammar)

@@ -432,6 +432,7 @@ def test_a_declared_non_dyck_label_is_refused_alike_by_reach_and_reduce(workdir,
     program = workdir / "p.pa"
     for argv in (
         ["reach", str(graph), "--grammar", "d1"],
+        ["reach", str(graph), "--grammar", "d1", "--source", "0", "--target", "1"],
         ["reduce", "d1-to-pa", str(graph), "-o", str(program)],
     ):
         assert main(argv) == 2
