@@ -152,7 +152,10 @@ def cmd_crosscheck(args) -> int:
     elif args.suite == "pt-prime":
         report = cc.check_pt_prime(args.trials, args.seed)
     else:
-        report = cc.check_triangle_chain(args.max_n, args.trials, args.seed, args.directed)
+        report = cc.check_triangle_chain(
+            args.max_n, args.trials, args.seed, args.directed,
+            StatementProfile.from_name(args.profile),
+        )
     print(report.summary_text())
     return 0 if report.passed else 1
 
@@ -240,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--max-n", type=_count, default=8, help="instance size cap (bmm, triangle)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile", default="case1", help="statement profile for the bmm suite")
+    p.add_argument("--profile", default="case1", help="statement profile (bmm, triangle)")
     p.add_argument("--directed", action="store_true", help="directed triangle mode")
     p.set_defaults(func=cmd_crosscheck)
 

@@ -306,9 +306,14 @@ def check_pt_prime(trials: int, seed: int) -> CheckReport:
 
 
 def check_triangle_chain(
-    n_max: int, trials: int, seed: int, directed: bool = False
+    n_max: int,
+    trials: int,
+    seed: int,
+    directed: bool = False,
+    profile: StatementProfile = StatementProfile.CASE1,
 ) -> CheckReport:
-    """triangle_oracle == s-t Dyck-1 reachability of the reduced graph."""
+    """triangle_oracle == s-t Dyck-1 reachability of the reduced graph ==
+    points-to readback q(s) -> a(t) of that graph's reduced program."""
     if n_max < 3:
         raise InvalidParamsError("need n_max >= 3")
     d1 = builtin_grammar("d1")
@@ -321,9 +326,13 @@ def check_triangle_chain(
             graph = rand_simple_graph(n, 0.3, _pick(rng, 1 << 32), directed)
         expected = triangle_oracle(graph, directed)
         inst = triangle_to_st_d1(graph, directed)
-        got = st_query(inst.graph, d1, inst.s, inst.t)
-        if expected == got:
-            return []
-        return [(tseed, f"n={graph.node_count} m={len(graph.edges)}", expected, got)]
+        via_graph = st_query(inst.graph, d1, inst.s, inst.t)
+        program, pmap = d1_to_program(inst.graph, profile)
+        readback = solve(program).query(pmap.forward[inst.s][0], pmap.forward[inst.t][1])
+        return [
+            (tseed, f"n={graph.node_count} m={len(graph.edges)} stage={stage}", expected, got)
+            for stage, got in (("graph", via_graph), ("readback", readback))
+            if got != expected
+        ]
 
     return _run("triangle", trials, seed, trial)

@@ -387,8 +387,11 @@ class Grammar:
 
 # Gadget templates: one (kind, lhs slot, rhs slot) per statement. Slots: "q"
 # and "a" are a node's query variable and its primed address variable, "u"
-# and "v" the two ends of an edge, and integers fresh temps (numbered t1,
-# t2, ... across the whole program in order of first use).
+# and "v" the two ends of an edge, and integers temps (numbered t1, t2, ...
+# across the whole program in order of first use). A node gadget's temps are
+# its own; an edge gadget's are shared by all edges with the same source and
+# label, so its statements that do not name "v" are emitted once per source
+# and label, and those that do once per edge.
 _ADDR, _COPY, _LOAD, _STORE = StatementKind
 _STORE_EDGES = (((_ADDR, 1, "u"), (_STORE, "v", 1)), ((_ADDR, "u", 1), (_STORE, 1, "v")))
 _LOAD_EDGES = (((_LOAD, "u", "v"),), ((_ADDR, "u", "v"),))

@@ -4,9 +4,11 @@
   (3n nodes, one edge per non-zero entry).
 * Dyck-1 reachability -> a normalized pointer program, for any of the six
   statement-type profiles (node gadgets make each query variable point to
-  its primed address variable; edge gadgets encode the bracket labels).
+  its primed address variable; edge gadgets, with temps shared per source
+  and label, encode the bracket labels).
 * Triangle detection -> single-source/single-target Dyck-1 reachability on
-  a 4-layer graph with bracket chains through s and t.
+  a 4-layer graph with bracket chains through s and t and one hop node per
+  layer copy.
 
 All outputs are byte-deterministic for a given input, and every reduction
 returns a provenance map from input entities to output entities.
@@ -15,6 +17,8 @@ returns a provenance map from input entities to output entities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 from .model import (
@@ -132,10 +136,16 @@ def d1_to_program(
     reachability: u reaches v iff the query variable of u points to the
     primed address variable of v.
 
-    One node gadget per node, then one open or close gadget per edge in
-    sorted order, each instantiated from `profile.gadgets` (the table in
-    `model`); temps are fresh per gadget. `prune_isolated` drops the node
-    gadgets of degree-0 nodes.
+    One node gadget per node, then the edge gadgets in sorted edge order,
+    each instantiated from `profile.gadgets` (the table in `model`). A node
+    gadget's temps are its own. An edge gadget's temps are shared by every
+    edge with the same source u and label: the first such edge emits the
+    whole gadget, and each later one only the statements that name its
+    target `v`, so the program has O(n) variables for n nodes. This is
+    exact by location equivalence (Hardekopf & Lin, SAS 2007): an open
+    temp points to u alone, and the close temps of u would enter points-to
+    sets only together, through `u = &t`, with equal sets of their own.
+    `prune_isolated` drops the node gadgets of degree-0 nodes.
     """
     if not graph.alphabet <= DYCK_LABELS:
         raise AlphabetMismatchError(graph.alphabet - DYCK_LABELS)
@@ -164,9 +174,15 @@ def d1_to_program(
         qvar, avar = qvars[v], Variable(base[v] + "'")
         forward[v] = (qvar, avar)
         emit(node_gadget, {"q": qvar, "a": avar})
-    for src, label, dst in sorted(graph.edges):
-        gadget = open_gadget if label == DYCK_OPEN else close_gadget
-        emit(gadget, {"u": qvars[src], "v": qvars[dst]})
+    edge_gadgets = {DYCK_OPEN: open_gadget, DYCK_CLOSE: close_gadget}
+    # a later edge of one source and label repeats only what names its target
+    repeats = {label: tuple(st for st in g if "v" in st[1:]) for label, g in edge_gadgets.items()}
+    for (src, label), group in groupby(sorted(graph.edges), key=itemgetter(0, 1)):
+        gadget, slots = edge_gadgets[label], {"u": qvars[src]}
+        for _, _, dst in group:
+            slots["v"] = qvars[dst]
+            emit(gadget, slots)
+            gadget = repeats[label]
 
     rmap = ReductionMap(
         roles=("query_var", "addr_var"),
@@ -190,21 +206,28 @@ def _edge_pairs(graph: LabeledDigraph, directed: bool) -> list[tuple[int, int]]:
 
 
 def triangle_to_st_d1(graph: LabeledDigraph, directed: bool = False) -> StInstance:
-    """Four layer copies per node plus s and t.
+    """Four layer copies per node plus s and t, and, if the input has an
+    edge, three hop nodes per node.
 
     An open-bracket chain runs from s through layer 0 (ascending node
     order) and a close-bracket chain from layer 3 back into t, so the walk
-    down to any u_0 and up from the matching u_3 is balanced. Each input
-    edge (u, v) contributes, per layer j in 0..2, an auxiliary hop
-    u_j -[1-> aux -]1-> v_{j+1}; undirected inputs also get the mirrored
-    hop v_j -> u_{j+1}. A triangle through u is then exactly a balanced
-    s-to-t walk via u_0 .. u_3.
+    down to any u_0 and up from the matching u_3 is balanced. Layer copy
+    u_j (j in 0..2) opens into its hop node aux(u, j) = 4n + 2 + 3u + j, and
+    each input edge (u, v) closes aux(u, j) into v_{j+1}; undirected inputs
+    also close aux(v, j) into u_{j+1}. A triangle through u is then exactly
+    a balanced s-to-t walk via u_0 .. u_3. Sharing the hop is exact: aux(u,
+    j) is entered only from u_j, so a walk through it is a walk through a
+    per-edge hop with the same labels. With m >= 1 input edges the graph
+    has 7n + 2 nodes and 5n + 6m edges (5n + 3m directed).
     """
     pairs = _edge_pairs(graph, directed)
     n = graph.node_count
 
     def layer(u: int, j: int) -> int:
         return 4 * u + j
+
+    def aux(u: int, j: int) -> int:
+        return 4 * n + 2 + 3 * u + j
 
     s_node, t_node = 4 * n, 4 * n + 1
     edges: set[tuple[int, str, int]] = set()
@@ -215,29 +238,24 @@ def triangle_to_st_d1(graph: LabeledDigraph, directed: bool = False) -> StInstan
         edges.add((layer(u - 1, 0), DYCK_OPEN, layer(u, 0)))
         edges.add((layer(u, 3), DYCK_CLOSE, layer(u - 1, 3)))
 
-    aux = 4 * n + 2
-    aux_names: list[str] = []
-    i = 0
+    hops = range(n if pairs else 0)
+    for u in hops:
+        for j in range(3):
+            edges.add((layer(u, j), DYCK_OPEN, aux(u, j)))
     for u, v in pairs:
         for j in range(3):
-            edges.add((layer(u, j), DYCK_OPEN, aux))
-            edges.add((aux, DYCK_CLOSE, layer(v, j + 1)))
-            aux_names.append(f"t{i}")
-            aux += 1
+            edges.add((aux(u, j), DYCK_CLOSE, layer(v, j + 1)))
             if not directed:
-                edges.add((layer(v, j), DYCK_OPEN, aux))
-                edges.add((aux, DYCK_CLOSE, layer(u, j + 1)))
-                aux_names.append(f"t{i}'")
-                aux += 1
-            i += 1
+                edges.add((aux(v, j), DYCK_CLOSE, layer(u, j + 1)))
 
+    aux_names = [f"t{3 * u + j}" for u in hops for j in range(3)]
     base = graph.node_names or [f"n{v}" for v in range(n)]
     names = [f"{base[u]}{j}" for u in range(n) for j in range(4)] + ["s", "t"] + aux_names
     # a name "-" or "" would make its layer copies read as ids ("-0", "0")
     if len(set(names)) != len(names) or any(is_node_id(name + "0") for name in base):
         names = [f"n{u}_{j}" for u in range(n) for j in range(4)] + ["s", "t"] + aux_names
 
-    out = LabeledDigraph(aux, DYCK_LABELS, edges, names)
+    out = LabeledDigraph(len(names), DYCK_LABELS, edges, names)
     rmap = ReductionMap(
         roles=("layer0", "layer1", "layer2", "layer3"),
         forward={u: tuple(layer(u, j) for j in range(4)) for u in range(n)},

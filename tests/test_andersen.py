@@ -205,11 +205,11 @@ PINNED_RANDOM_COUNTERS = {
     5: (7, 424, 4, 62),
 }
 PINNED_BMM_COUNTERS = {
-    "case1": (139, 112, 22, 0),
-    "case2": (97, 91, 15, 0),
-    "case3": (118, 112, 15, 0),
+    "case1": (120, 92, 22, 0),
+    "case2": (78, 71, 15, 0),
+    "case3": (99, 92, 15, 0),
     "case4": (56, 51, 14, 0),
-    "case5": (69, 91, 3, 0),
+    "case5": (50, 71, 3, 0),
     "case6": (28, 51, 0, 0),
 }
 

@@ -95,7 +95,7 @@ def test_reduce_d1_to_pa_golden(workdir, capsys):
         == 0
     )
     text = p.read_text()
-    assert len(text.splitlines()) == 22
+    assert len(text.splitlines()) == 21
     assert "query_var\tx0" in (workdir / "p.map").read_text()
     assert main(["analyze", str(p), "--query", "x0", "z2'"]) == 0
 

@@ -182,6 +182,16 @@ class _Negated:
         return not self.summaries.holds(*args)
 
 
+class _Flipped:
+    """A points-to solution whose every `query` answer is flipped."""
+
+    def __init__(self, solution):
+        self.solution = solution
+
+    def query(self, *args):
+        return not self.solution.query(*args)
+
+
 def _negate_matrix(product):
     return lambda a, b: BooleanMatrix([[1 - bit for bit in row] for row in product(a, b).bits])
 
@@ -201,6 +211,7 @@ def _negate_prime(all_pairs):
         ("peg", lambda s: check_peg_equivalence(3, s), "all_pairs", lambda f: lambda *a: _Negated(f(*a))),
         ("pt-prime", lambda s: check_pt_prime(3, s), "all_pairs", _negate_prime),
         ("triangle", lambda s: check_triangle_chain(8, 3, s), "st_query", lambda f: lambda *a: not f(*a)),
+        ("triangle", lambda s: check_triangle_chain(8, 3, s), "solve", lambda f: lambda *a: _Flipped(f(*a))),
     ],
 )
 def test_a_flipped_engine_answer_fails_the_suite(suite, run, engine, negate, monkeypatch, capsys):
