@@ -33,7 +33,8 @@ fixed point, so the one that stands for the most variables takes over the
 others' sets, edges, loads and stores and gets delta = pt; so does every
 other node with a non-empty set once the offline phase ends.
 `rep` is a flat list, so finding a representative is one index. The output
-builds one frozenset per distinct bitset and shares it between variables.
+is the bitsets themselves, each variable's row being its representative's
+set; no frozenset is built unless `PointsToSolution.pt` is read.
 The result is the least fixed point of whole-set iteration, whatever the
 worklist policy or statement order.
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
-from .model import PointsToSolution, Program, StatementKind, Variable, _ones
+from .model import PointsToSolution, Program, StatementKind, _ones
 
 
 def _copy_sccs(
@@ -253,12 +254,4 @@ def solve(
     if stats is not None:
         stats.update(pops=pops, copy_edges=new_edges, cycle_checks=checks, merged=merged)
 
-    shared: dict[int, frozenset[Variable]] = {}
-    solution = {}
-    for i, var in enumerate(variables):
-        bits = pt[rep[i]]
-        members_of = shared.get(bits)
-        if members_of is None:
-            members_of = shared[bits] = frozenset([variables[j] for j in _ones(bits)])
-        solution[var] = members_of
-    return PointsToSolution(pt=solution)
+    return PointsToSolution(variables, tuple([pt[r] for r in rep]))

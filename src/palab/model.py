@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 
@@ -186,20 +187,51 @@ class Program:
         return tuple(seen.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointsToSolution:
-    """Map from each variable to the set of variable locations it may point to."""
+    """The points-to relation of a solved program, as one bitset row per
+    variable: bit j of `rows[i]` is set iff loc(`variables[j]`) is in
+    pt(`variables[i]`). `variables` is the solved universe.
 
-    pt: Mapping[Variable, frozenset[Variable]]
+    `pt` is a read-only mapping view of the same relation, built on first
+    read with one frozenset per distinct row, shared by the variables that
+    have that row. Two solutions are equal iff their `pt` views are, so the
+    order of `variables` does not matter.
+    """
+
+    variables: tuple[Variable, ...]
+    rows: tuple[int, ...]
+
+    @cached_property
+    def pt(self) -> Mapping[Variable, frozenset[Variable]]:
+        shared: dict[int, frozenset[Variable]] = {}
+        view = {}
+        for var, row in zip(self.variables, self.rows):
+            members = shared.get(row)
+            if members is None:
+                members = shared[row] = frozenset(_select(self.variables, row))
+            view[var] = members
+        return MappingProxyType(view)
+
+    @cached_property
+    def _index(self) -> dict[Variable, int]:
+        return {v: i for i, v in enumerate(self.variables)}
 
     def query(self, p: Union[Variable, str], q: Union[Variable, str]) -> bool:
         """True iff loc(q) is in pt(p). Both must be in the solved universe."""
         p, q = as_variable(p), as_variable(q)
-        if p not in self.pt:
+        i = self._index.get(p)
+        if i is None:
             raise UnknownVariableError(f"unknown variable {p}")
-        if q not in self.pt:
+        j = self._index.get(q)
+        if j is None:
             raise UnknownVariableError(f"unknown variable {q}")
-        return q in self.pt[p]
+        return bool(self.rows[i] >> j & 1)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointsToSolution):
+            return NotImplemented
+        return self.pt == other.pt
 
 
 # ---------------------------------------------------------------------------

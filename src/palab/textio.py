@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 import sys
-from operator import attrgetter
 from typing import Iterable
 
 from .model import (
@@ -35,6 +34,7 @@ from .model import (
     ReductionMap,
     Statement,
     Variable,
+    _select,
     is_count,
     is_node_id,
     to_int,
@@ -306,16 +306,20 @@ def serialize_grammar(grammar: Grammar) -> str:
 # solutions and maps
 
 def serialize_solution(solution: PointsToSolution) -> str:
+    """One `pt(v) = { ... }` line per variable, variables and members in name
+    order, read straight from the bitset rows; each distinct row is rendered
+    once."""
+    names = [v.name for v in solution.variables]
+    rows = solution.rows
+    rendered = {0: "{ }\n"}  # row -> its member list
     lines = []
-    rendered: dict[int, str] = {}  # id of a points-to set -> its member list
-    name = attrgetter("name")
-    for var in sorted(solution.pt, key=name):
-        targets = solution.pt[var]
-        members = rendered.get(id(targets))
+    for i in sorted(range(len(names)), key=names.__getitem__):
+        row = rows[i]
+        members = rendered.get(row)
         if members is None:
-            members = rendered[id(targets)] = ", ".join(sorted(map(name, targets)))
-        lines.append(f"pt({var.name}) = {{ {members} }}" if members else f"pt({var.name}) = {{ }}")
-    return "".join(line + "\n" for line in lines)
+            members = rendered[row] = "{ " + ", ".join(sorted(_select(names, row))) + " }\n"
+        lines.append(f"pt({names[i]}) = {members}")
+    return "".join(lines)
 
 
 def serialize_map(rmap: ReductionMap) -> str:

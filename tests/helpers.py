@@ -13,6 +13,7 @@ import re
 import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from palab.cfl import _closure
@@ -416,7 +417,9 @@ def least_fixpoint(program: Program) -> PointsToSolution:
                 if not src <= pt[dst]:
                     pt[dst] |= src
                     changed = True
-    return PointsToSolution({v: frozenset(s) for v, s in pt.items()})
+    variables = program.variables
+    bit = {v: 1 << i for i, v in enumerate(variables)}
+    return PointsToSolution(variables, tuple(sum(map(bit.get, pt[v])) for v in variables))
 
 
 def erased_statement_forms(program: Program) -> list[str]:
@@ -598,6 +601,22 @@ def reference_parse_graph(text: str) -> LabeledDigraph:
             )
         node_names = tuple(names[i] for i in range(node_count))
     return LabeledDigraph(node_count, alphabet, edges, node_names)
+
+
+# `textio.serialize_solution` as it stood before it read the solution's bitset
+# rows, kept verbatim as the reference for the differential `.sol` test: it
+# reads the `pt` view's frozensets.
+def reference_serialize_solution(solution: PointsToSolution) -> str:
+    lines = []
+    rendered: dict[int, str] = {}  # id of a points-to set -> its member list
+    name = attrgetter("name")
+    for var in sorted(solution.pt, key=name):
+        targets = solution.pt[var]
+        members = rendered.get(id(targets))
+        if members is None:
+            members = rendered[id(targets)] = ", ".join(sorted(map(name, targets)))
+        lines.append(f"pt({var.name}) = {{ {members} }}" if members else f"pt({var.name}) = {{ }}")
+    return "".join(line + "\n" for line in lines)
 
 
 # `reductions.d1_to_program` and `reductions.triangle_to_st_d1` as they stood

@@ -185,6 +185,25 @@ def test_analyze_unknown_query_variable_exits_2(workdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_analyze_query_agrees_with_the_printed_solution(workdir, capsys):
+    p = str(workdir / "r.pa")
+    assert main(["gen", "program", "-n", "14", "--stmts", "40", "--seed", "2", "-o", p]) == 0
+    assert main(["analyze", p]) == 0
+    pt = {}
+    for line in capsys.readouterr().out.splitlines():
+        head, members = line.split(" = ")
+        pt[head[3:-1]] = set(members.strip("{ }").split(", ")) - {""}
+    assert len(pt) == 14 and any(pt.values())
+    for v in pt:
+        for w in pt:
+            assert main(["analyze", p, "--query", v, w]) == (0 if w in pt[v] else 1), (v, w)
+            assert capsys.readouterr().out == ("yes\n" if w in pt[v] else "no\n")
+    known = next(iter(pt))
+    for query in (["zz", known], [known, "zz"]):
+        assert main(["analyze", p, "--query", *query]) == 2
+        assert capsys.readouterr().err == "error: unknown variable zz\n"
+
+
 def test_gen_program_and_simple_graph(workdir, capsys):
     p = workdir / "r.pa"
     assert main(["gen", "program", "-n", "6", "--stmts", "9", "--seed", "4", "-o", str(p)]) == 0
