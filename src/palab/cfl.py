@@ -7,8 +7,8 @@ saturates the summary edges over those tables with a semi-naive worklist,
 one bitset row of targets per (symbol, source). `all_pairs` projects the
 saturation onto the grammar's own symbols, and `st_query` reads one pair
 of it. The built-in grammars (Dyck-1, generalized Dyck, and the two
-points-to-analysis reachability grammars over PEG labels) and a terminal
-Follow-set analysis live here too.
+points-to-analysis reachability grammars over PEG labels) live here too,
+and `follow_sets` reads terminal Follow sets off `normalize`'s binary rules.
 
 Each invariant is argued in one docstring: binarization, the terminal-run
 fold and epsilon by compensation in `normalize`; static, unread,
@@ -127,13 +127,14 @@ class NormalizedGrammar:
     """Binarized grammar compiled into the saturation engine's tables.
 
     `binary_productions` have right-hand sides of length 1 or 2 with no
-    epsilon. Each helper of `helper_map` derives exactly one span of
-    symbols: a run of terminals folded out of a body, or a suffix of a
-    folded body. `nullable` names every symbol that derives epsilon,
-    helpers included. Epsilon is carried by compensation: each L -> X Y
-    gains L -> Y when X is nullable and L -> X when Y is, which keeps every
-    summary over a nonempty path; the empty-path summaries (v, X, v) of the
-    nullable symbols are added once the saturation is complete.
+    epsilon; `follow_sets` reads them, `_closure` the tables below. Each
+    helper of `helper_map` derives exactly one span of symbols: a run of
+    terminals folded out of a body, or a suffix of a folded body.
+    `nullable` names every symbol that derives epsilon, helpers included.
+    Epsilon is carried by compensation: each L -> X Y gains L -> Y when X
+    is nullable and L -> X when Y is, which keeps every summary over a
+    nonempty path; the empty-path summaries (v, X, v) of the nullable
+    symbols are added once the saturation is complete.
 
     `codes` numbers every symbol (terminals, nonterminals and helpers) in
     sorted-name order. The rule tables are indexed by code and list, in
@@ -599,47 +600,31 @@ def st_query(
 # ---------------------------------------------------------------------------
 # terminal Follow sets
 
-def _first_sets(grammar: Grammar, nullable: set[str]) -> dict[str, set[str]]:
-    first: dict[str, set[str]] = {t: {t} for t in grammar.terminals}
-    for nt in grammar.nonterminals:
-        first[nt] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in grammar.productions:
-            acc = first[lhs]
-            before = len(acc)
-            for sym in rhs:
-                acc |= first[sym]
-                if sym not in nullable:
-                    break
-            if len(acc) != before:
-                changed = True
-    return first
-
-
 def follow_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
     """Follow(t) for each terminal t: the terminals that can appear
     immediately to the right of t in a sentential form derivable from any
-    nonterminal of the grammar."""
-    nullable = _nullable_closure(grammar.productions)
-    first = _first_sets(grammar, nullable)
+    nonterminal of the grammar.
 
-    # Follow over every symbol without end markers, every nonterminal a root.
-    follow: dict[str, set[str]] = {sym: set() for sym in first}
+    Read off `normalize`'s binary rules. Two adjacent terminals of a
+    derivation meet at exactly one rule L -> X Y, the first at the end of
+    X and the second at the start of Y, and the compensation rules carry
+    the nullable symbols between them. So one least fixpoint finds First
+    and Last, the terminals that can begin and end a nonempty derivation of
+    each symbol, and Follow(t) is the union of First(Y) over the rules
+    L -> X Y with t in Last(X)."""
+    norm = normalize(grammar)
+    first = {sym: {sym} if sym in grammar.terminals else set() for sym in norm.codes}
+    last = {sym: set(ends) for sym, ends in first.items()}
     changed = True
     while changed:
         changed = False
-        for lhs, rhs in grammar.productions:
-            for i, sym in enumerate(rhs):
-                acc = follow[sym]
-                before = len(acc)
-                for nxt in rhs[i + 1 :]:
-                    acc |= first[nxt]
-                    if nxt not in nullable:
-                        break
-                else:
-                    acc |= follow[lhs]
-                if len(acc) != before:
-                    changed = True
-    return {t: frozenset(follow[t]) for t in grammar.terminals}
+        for lhs, rhs in norm.binary_productions:
+            for ends, sym in ((first, rhs[0]), (last, rhs[-1])):
+                changed |= not ends[sym] <= ends[lhs]
+                ends[lhs] |= ends[sym]
+    follow: dict[str, set[str]] = {t: set() for t in grammar.terminals}
+    for _, rhs in norm.binary_productions:
+        if len(rhs) == 2:
+            for t in last[rhs[0]]:
+                follow[t] |= first[rhs[1]]
+    return {t: frozenset(ends) for t, ends in follow.items()}

@@ -58,19 +58,42 @@ def test_triangle_to_st_d1_on_every_directed_graph(n):
     assert checked == 1 << n * (n - 1)
 
 
+def _check_d1_to_program(graph: LabeledDigraph):
+    """d1_to_program under every profile answers the D1 pairs of `graph`."""
+    nodes = range(graph.node_count)
+    expected = helpers.reference_saturation(graph, D1)["D1"]
+    for profile in StatementProfile:
+        program, rmap = d1_to_program(graph, profile)
+        solution = solve(program)
+        got = {
+            (u, v) for u in nodes for v in nodes
+            if solution.query(rmap.forward[u][0], rmap.forward[v][1])
+        }
+        assert got == expected, (profile, sorted(graph.edges))
+
+
 def test_d1_to_program_on_every_two_node_graph_under_every_profile():
     slots = [(u, label, v) for u in range(2) for label in sorted(DYCK_LABELS) for v in range(2)]
     checked = 0
     for mask in range(1 << len(slots)):
-        graph = LabeledDigraph(2, DYCK_LABELS, {e for i, e in enumerate(slots) if mask >> i & 1})
-        expected = helpers.reference_saturation(graph, D1)["D1"]
-        for profile in StatementProfile:
-            program, rmap = d1_to_program(graph, profile)
-            solution = solve(program)
-            got = {
-                (u, v) for u in range(2) for v in range(2)
-                if solution.query(rmap.forward[u][0], rmap.forward[v][1])
-            }
-            assert got == expected, (profile, sorted(graph.edges))
+        _check_d1_to_program(
+            LabeledDigraph(2, DYCK_LABELS, {e for i, e in enumerate(slots) if mask >> i & 1})
+        )
         checked += 1
     assert checked == 256
+
+
+def test_d1_to_program_on_every_three_node_graph_without_self_loops_under_every_profile():
+    # one graph per isomorphism class, named by its least sorted edge list
+    # over the six node permutations: 720 classes of the 4096 graphs
+    slots = [(u, label, v) for u, v in permutations(range(3), 2) for label in sorted(DYCK_LABELS)]
+    classes = set()
+    for mask in range(1 << len(slots)):
+        edges = [e for i, e in enumerate(slots) if mask >> i & 1]
+        classes.add(min(
+            tuple(sorted((p[u], label, p[v]) for u, label, v in edges))
+            for p in permutations(range(3))
+        ))
+    assert len(classes) == 720
+    for edges in sorted(classes):
+        _check_d1_to_program(LabeledDigraph(3, DYCK_LABELS, set(edges)))

@@ -112,24 +112,38 @@ def test_follow_sets_on_a_toy_grammar():
     assert fs["y"] == frozenset()
 
 
-def _rand_grammar(seed: int) -> Grammar:
-    """A small random grammar; about a third of the bodies are empty."""
+def _rand_grammar(seed: int, helper_names: bool = False) -> Grammar:
+    """A small random grammar; about a third of the bodies are empty. With
+    `helper_names` its symbols are `@1`..`@4`, the names that `normalize`
+    would otherwise give its first helpers."""
     rng = random.Random(seed)
-    terminals = ["a", "b", "c"][: rng.randint(1, 3)]
-    nonterminals = ["S", "A", "B", "C"][: rng.randint(1, 4)]
+    if helper_names:
+        names = ["@1", "@2", "@3", "@4"]
+        rng.shuffle(names)
+        cut = rng.randint(1, 3)
+        terminals, nonterminals = names[:cut], names[cut:]
+    else:
+        terminals = ["a", "b", "c"][: rng.randint(1, 3)]
+        nonterminals = ["S", "A", "B", "C"][: rng.randint(1, 4)]
     symbols = terminals + nonterminals
     productions = [
         (rng.choice(nonterminals), tuple(rng.choice(symbols) for _ in range(rng.choice([0, 0, 1, 2, 3, 4]))))
         for _ in range(rng.randint(1, 8))
     ]
-    return Grammar(terminals, nonterminals, productions, "S")
+    return Grammar(terminals, nonterminals, productions, nonterminals[0])
 
 
 def test_follow_sets_match_the_two_pass_reference():
-    nullable_tails = 0
-    for seed in range(1000):
-        g = _rand_grammar(seed)
-        assert follow_sets(g) == helpers.reference_follow_sets(g), seed
-        nullable = normalize(g).nullable
-        nullable_tails += any(rhs and rhs[-1] in nullable for _, rhs in g.productions)
-    assert nullable_tails > 100  # the draws exercise Follow through nullable tails
+    for name in ("d1", "dyck:3", "pt", "pt_prime"):
+        g = builtin_grammar(name)
+        assert follow_sets(g) == helpers.reference_follow_sets(g), name
+    for helper_names in (False, True):
+        nullable_tails = with_helpers = 0
+        for seed in range(1000):
+            g = _rand_grammar(seed, helper_names)
+            assert follow_sets(g) == helpers.reference_follow_sets(g), (seed, helper_names)
+            norm = normalize(g)
+            nullable_tails += any(rhs and rhs[-1] in norm.nullable for _, rhs in g.productions)
+            with_helpers += bool(norm.helper_map)
+        assert nullable_tails > 100  # the draws exercise Follow through nullable tails
+        assert with_helpers > 100  # and through the rules of helpers

@@ -268,16 +268,27 @@ def test_undeclared_label_error_names_the_first_bad_edge_line():
 # ---------------------------------------------------------------------------
 # module boundaries
 
-def test_importing_textio_loads_only_the_model():
+# The palab modules that importing each module loads. The crosscheck suites
+# compare two independent implementations only while neither engine imports
+# the other.
+LOADED = {
+    "palab.textio": ["palab", "palab.model", "palab.textio"],
+    "palab.andersen": ["palab", "palab.andersen", "palab.model"],
+    "palab.cfl": ["palab", "palab.cfl", "palab.model", "palab.peg"],
+}
+
+
+@pytest.mark.parametrize("module", LOADED)
+def test_importing_a_module_loads_only_its_dependencies(module):
     code = (
-        "import sys, palab.textio\n"
+        f"import sys, {module}\n"
         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'palab'))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == ["palab", "palab.model", "palab.textio"]
+    assert out.split() == LOADED[module]
 
 
 @pytest.mark.parametrize(
