@@ -31,6 +31,7 @@ from .model import (
     StatementKind,
     StatementProfile,
     Variable,
+    _trusted,
 )
 from .peg import ExprForm, build_peg
 from .reductions import bmm_to_d1, d1_to_program, multiply_via_d1, triangle_to_st_d1
@@ -109,9 +110,8 @@ def rand_matrix(n: int, density: float, seed: int) -> BooleanMatrix:
     if n < 1 or not 0.0 <= density <= 1.0:
         raise InvalidParamsError("need n >= 1 and density in [0, 1]")
     rng = random.Random(seed)
-    return BooleanMatrix(
-        [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
-    )
+    bits = tuple(tuple(1 if rng.random() < density else 0 for _ in range(n)) for _ in range(n))
+    return _trusted(BooleanMatrix, n=n, bits=bits)  # n >= 1 rows of n 0/1 ints
 
 
 def rand_program(max_vars: int, max_stmts: int, seed: int) -> Program:
@@ -148,7 +148,9 @@ def rand_dyck_graph(n: int, m: int, seed: int) -> LabeledDigraph:
     while len(edges) < m:
         label = DYCK_OPEN if rng.random() < 0.5 else DYCK_CLOSE
         edges.add((_pick(rng, n), label, _pick(rng, n)))
-    return LabeledDigraph(n, DYCK_LABELS, edges)
+    # `_pick` draws ids below n, and both labels are Dyck labels
+    return _trusted(LabeledDigraph, node_count=n, alphabet=DYCK_LABELS,
+                    edges=frozenset(edges), node_names=None)
 
 
 def rand_simple_graph(
@@ -165,7 +167,9 @@ def rand_simple_graph(
                 continue
             if rng.random() < density:
                 edges.add((u, "e", v))
-    return LabeledDigraph(n, {"e"}, edges)
+    # ids below n, and the one label "e"
+    return _trusted(LabeledDigraph, node_count=n, alphabet=frozenset({"e"}),
+                    edges=frozenset(edges), node_names=None)
 
 
 # ---------------------------------------------------------------------------

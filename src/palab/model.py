@@ -17,6 +17,20 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 
 # ---------------------------------------------------------------------------
+# trusted construction
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` with `fields` stored as
+    given: no conversion, no check. Only palab's own builders call it, with
+    fields of the declared types (frozensets, tuples) that already satisfy
+    every check of the public constructor; each call names its invariant."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+# ---------------------------------------------------------------------------
 # errors
 
 
@@ -287,6 +301,10 @@ class LabeledDigraph:
     """A digraph with terminal-labeled edges over a declared alphabet.
 
     Node ids are dense 0-based integers; names are optional metadata.
+    The public constructor checks every field: node ids in range, labels
+    in the alphabet, names unique, one per node and none reading as an id.
+    palab's own builders (`parse_graph`, `build_peg`, the reductions and
+    the generators) check as they build and store through `_trusted`.
     """
 
     node_count: int
@@ -350,7 +368,10 @@ DYCK_LABELS = frozenset({DYCK_OPEN, DYCK_CLOSE})
 
 @dataclass(frozen=True)
 class BooleanMatrix:
-    """Square 0/1 matrix, stored as a tuple of row tuples."""
+    """Square 0/1 matrix, stored as a tuple of row tuples.
+
+    The public constructor checks every entry and the shape; `parse_matrix`
+    and `rand_matrix` build their rows of 0/1 ints through `_trusted`."""
 
     n: int
     bits: tuple[tuple[int, ...], ...]

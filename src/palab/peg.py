@@ -17,6 +17,7 @@ from .model import (
     Program,
     StatementKind,
     Variable,
+    _trusted,
 )
 
 
@@ -91,5 +92,12 @@ def build_peg(program: Program) -> PEG:
 
     names = [prefix + v.name for v in variables for prefix in _PREFIXES]
     expr_of = tuple((v, form) for v in variables for form in _FORMS)
-    graph = LabeledDigraph(3 * len(variables), PEG_ALPHABET, edges, names or None)
+    # ids below 3|V|, PEG labels, and names as distinct as the variables' and never id-like
+    graph = _trusted(
+        LabeledDigraph,
+        node_count=3 * len(variables),
+        alphabet=PEG_ALPHABET,
+        edges=frozenset(edges),
+        node_names=tuple(names) if names else None,
+    )
     return PEG(graph, expr_of)

@@ -36,6 +36,7 @@ from .model import (
     Statement,
     StatementProfile,
     Variable,
+    _trusted,
     is_identifier,
     is_node_id,
 )
@@ -52,7 +53,10 @@ class D1Instance:
 
 @dataclass(frozen=True)
 class StInstance:
-    """A Dyck-1 instance with distinguished source and sink nodes."""
+    """A Dyck-1 instance with distinguished source and sink nodes.
+
+    The public constructor checks that no edge enters s and none leaves t;
+    `triangle_to_st_d1` builds its instances through `_trusted`."""
 
     graph: LabeledDigraph
     s: int
@@ -84,7 +88,14 @@ def bmm_to_d1(a: BooleanMatrix, b: BooleanMatrix) -> D1Instance:
                 edges.add((i, DYCK_OPEN, n + j))
             if b.bits[i][j]:
                 edges.add((n + i, DYCK_CLOSE, 2 * n + j))
-    graph = LabeledDigraph(3 * n, DYCK_LABELS, edges, names)
+    # ids below 3n, Dyck labels, and the x/y/z names are distinct and not id-like
+    graph = _trusted(
+        LabeledDigraph,
+        node_count=3 * n,
+        alphabet=DYCK_LABELS,
+        edges=frozenset(edges),
+        node_names=tuple(names),
+    )
     rmap = ReductionMap(
         roles=("x", "y", "z"),
         forward={i: (i, n + i, 2 * n + i) for i in range(n)},
@@ -156,7 +167,9 @@ def d1_to_program(
     else:
         nodes = range(graph.node_count)
     base = _node_base_names(graph, nodes)
-    qvars = {v: Variable(name) for v, name in base.items()}
+    # base names, their primes and t<i> are identifiers: no check, as in `parse_program`
+    new = tuple.__new__
+    qvars = {v: new(Variable, (name,)) for v, name in base.items()}
     statements: list[Statement] = []
     forward: dict[int, tuple] = {}
     temps = 0
@@ -167,11 +180,11 @@ def d1_to_program(
             for slot in (lhs, rhs):
                 if slot not in slots:  # a temp's first use
                     temps += 1
-                    slots[slot] = Variable(f"t{temps}")
-            statements.append(Statement(kind, slots[lhs], slots[rhs]))
+                    slots[slot] = new(Variable, (f"t{temps}",))
+            statements.append(new(Statement, (kind, slots[lhs], slots[rhs])))
 
     for v in nodes:
-        qvar, avar = qvars[v], Variable(base[v] + "'")
+        qvar, avar = qvars[v], new(Variable, (base[v] + "'",))
         forward[v] = (qvar, avar)
         emit(node_gadget, {"q": qvar, "a": avar})
     edge_gadgets = {DYCK_OPEN: open_gadget, DYCK_CLOSE: close_gadget}
@@ -255,10 +268,18 @@ def triangle_to_st_d1(graph: LabeledDigraph, directed: bool = False) -> StInstan
     if len(set(names)) != len(names) or any(is_node_id(name + "0") for name in base):
         names = [f"n{u}_{j}" for u in range(n) for j in range(4)] + ["s", "t"] + aux_names
 
-    out = LabeledDigraph(len(names), DYCK_LABELS, edges, names)
+    # ids below len(names) = 7n + 2; the check above made the names distinct, not id-like
+    out = _trusted(
+        LabeledDigraph,
+        node_count=len(names),
+        alphabet=DYCK_LABELS,
+        edges=frozenset(edges),
+        node_names=tuple(names),
+    )
     rmap = ReductionMap(
         roles=("layer0", "layer1", "layer2", "layer3"),
         forward={u: tuple(layer(u, j) for j in range(4)) for u in range(n)},
         meta={"s": s_node, "t": t_node, "directed": directed},
     )
-    return StInstance(out, s_node, t_node, rmap)
+    # s has one edge, out to 0_0, and t one edge, in from 0_3
+    return _trusted(StInstance, graph=out, s=s_node, t=t_node, map=rmap)

@@ -35,6 +35,7 @@ from .model import (
     Statement,
     Variable,
     _select,
+    _trusted,
     is_count,
     is_node_id,
     to_int,
@@ -119,12 +120,19 @@ def parse_graph(text: str) -> LabeledDigraph:
     appearance order; no name may look like an id). Duplicate edges
     collapse silently. The `alphabet` lines, wherever they sit, declare the
     alphabet together, and it must list every edge label; without them
-    the alphabet is the set of edge labels."""
-    lines = list(_content_lines(text))
-    if not lines:
+    the alphabet is the set of edge labels.
+
+    One pass over the lines checks every field as it reads it; a token
+    seen before resolves with one dict lookup."""
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, line in lines:
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split()
+        if parts:
+            break
+    else:
         raise ParseError("empty graph file: missing `nodes <n>` header")
-    lineno, header = lines[0]
-    parts = header.split()
     if len(parts) != 2 or parts[0] != "nodes":
         raise ParseError("expected `nodes <n>` header", lineno)
     if not is_count(parts[1]):
@@ -142,10 +150,8 @@ def parse_graph(text: str) -> LabeledDigraph:
     next_auto = 0
 
     def resolve(token: str, lineno: int) -> int:
+        """The node of a token not seen before."""
         nonlocal next_auto
-        node = node_of.get(token)
-        if node is not None:
-            return node
         if is_node_id(token):
             node = to_int(token)
             if not 0 <= node < node_count:
@@ -160,13 +166,18 @@ def parse_graph(text: str) -> LabeledDigraph:
         node_of[token] = node
         return node
 
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
-        if parts[0] == "alphabet":
+        if not parts:
+            continue
+        head = parts[0]
+        if head == "alphabet":
             alphabet.update(parts[1:])
             alphabet_declared = True
             continue
-        if parts[0] == "name":
+        if head == "name":
             if len(parts) != 3:
                 raise ParseError("expected `name <id> <name>`", lineno)
             if not is_node_id(parts[1]):
@@ -184,8 +195,15 @@ def parse_graph(text: str) -> LabeledDigraph:
         if len(parts) != 3:
             raise ParseError("expected `<src> <label> <dst>` edge", lineno)
         src, label, dst = parts
-        labels.setdefault(label, lineno)
-        edges.add((resolve(src, lineno), label, resolve(dst, lineno)))
+        if label not in labels:
+            labels[label] = lineno
+        u = node_of.get(src)
+        if u is None:
+            u = resolve(src, lineno)
+        v = node_of.get(dst)
+        if v is None:
+            v = resolve(dst, lineno)
+        edges.add((u, label, v))
 
     if not alphabet_declared:
         alphabet = set(labels)
@@ -200,7 +218,14 @@ def parse_graph(text: str) -> LabeledDigraph:
                 f"{len(names)} of {node_count} nodes named; name all or none"
             )
         node_names = tuple(names[i] for i in range(node_count))
-    return LabeledDigraph(node_count, alphabet, edges, node_names)
+    # each id was range-checked, each name bound once and not id-like, each label matched
+    return _trusted(
+        LabeledDigraph,
+        node_count=node_count,
+        alphabet=frozenset(alphabet),
+        edges=frozenset(edges),
+        node_names=node_names,
+    )
 
 
 def _is_token(sym: str) -> bool:
@@ -209,19 +234,26 @@ def _is_token(sym: str) -> bool:
 
 
 def serialize_graph(graph: LabeledDigraph) -> str:
-    """Raises `InvalidParamsError` for a label or node name that `.lg`
-    text cannot carry."""
+    """Raises `InvalidParamsError` for the first label (in sorted order),
+    then node name, that `.lg` text cannot carry.
+
+    One scan checks them all: joined by spaces, they split back into
+    themselves iff each is non-empty and free of whitespace, and no `#`
+    may occur in the joined text; only when that fails are they checked
+    one by one, to name the first bad one."""
     labels = sorted(graph.alphabet)
-    for sym in (*labels, *(graph.node_names or ())):
-        if not _is_token(sym):
-            raise InvalidParamsError(f"label or node name {sym!r} cannot be written as .lg text")
-    lines = [f"nodes {graph.node_count}"]
+    names = graph.node_names or ()
+    symbols = [*labels, *names]
+    joined = " ".join(symbols)
+    if "#" in joined or joined.split() != symbols:
+        bad = next(sym for sym in symbols if not _is_token(sym))
+        raise InvalidParamsError(f"label or node name {bad!r} cannot be written as .lg text")
+    lines = [f"nodes {graph.node_count}\n"]
     if labels:
-        lines.append("alphabet " + " ".join(labels))
-    if graph.node_names is not None:
-        lines += [f"name {i} {name}" for i, name in enumerate(graph.node_names)]
-    lines += [f"{src} {label} {dst}" for src, label, dst in sorted(graph.edges)]
-    return "".join(line + "\n" for line in lines)
+        lines.append(f"alphabet {' '.join(labels)}\n")
+    lines += [f"name {i} {name}\n" for i, name in enumerate(names)]
+    lines += [f"{src} {label} {dst}\n" for src, label, dst in sorted(graph.edges)]
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +270,17 @@ def parse_matrix(text: str) -> BooleanMatrix:
     rows = lines[1:]
     if len(rows) != n:
         raise ParseError(f"expected {n} rows, got {len(rows)}")
+    if not n:
+        raise InvalidParamsError("matrix must be non-empty")
     bits = []
     for lineno, row in rows:
         if len(row) != n:
             raise ParseError(f"ragged row of length {len(row)}, expected {n}", lineno)
-        if set(row) - {"0", "1"}:
+        if row.strip("01"):
             raise ParseError(f"matrix rows must be 0/1 strings: {row!r}", lineno)
-        bits.append([int(ch) for ch in row])
-    return BooleanMatrix(bits)
+        bits.append(tuple(map(int, row)))
+    # n >= 1 rows, each of n 0/1 digits read as ints
+    return _trusted(BooleanMatrix, n=n, bits=tuple(bits))
 
 
 def serialize_matrix(matrix: BooleanMatrix) -> str:

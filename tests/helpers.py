@@ -12,7 +12,7 @@ import random
 import re
 import sys
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from operator import attrgetter
 from typing import Sequence
 
@@ -463,6 +463,39 @@ def rand_acyclic_graph(alphabet: list[str], max_nodes: int, max_edges: int, seed
         v = u + 1 + pick(n - u - 1)
         edges.add((u, alphabet[pick(len(alphabet))], v))
     return LabeledDigraph(n, alphabet, edges)
+
+
+def type_shape(value):
+    """The type of `value`, with the type shapes of a dataclass's fields and
+    of a plain tuple's, list's or set's elements. Two values of equal shape
+    hold the same types at every level, which `==` does not show: a set
+    equals a frozenset with the same members."""
+    if is_dataclass(value):
+        return type(value), tuple((f.name, type_shape(getattr(value, f.name))) for f in fields(value))
+    if type(value) in (tuple, list, set, frozenset):
+        return type(value), frozenset(map(type_shape, value))
+    return type(value)
+
+
+def rebuilt(value):
+    """A graph, matrix or s-t instance built again through its public
+    constructor, which checks and converts every field."""
+    if isinstance(value, LabeledDigraph):
+        return LabeledDigraph(value.node_count, value.alphabet, value.edges, value.node_names)
+    if isinstance(value, BooleanMatrix):
+        return BooleanMatrix(value.bits)
+    if isinstance(value, StInstance):
+        return StInstance(rebuilt(value.graph), value.s, value.t, value.map)
+    raise TypeError(f"no public constructor for {type(value).__name__}")
+
+
+def assert_built_as_public(value):
+    """`value`, built by one of palab's own builders, is what its public
+    constructor builds from the same fields: equal, passing every check,
+    and with the same field types."""
+    public = rebuilt(value)
+    assert value == public
+    assert type_shape(value) == type_shape(public)
 
 
 # The line-by-line program parser that the one-scan `textio.parse_program`

@@ -142,6 +142,37 @@ def test_serialize_graph_rejects_symbols_lg_cannot_carry():
             serialize_graph(graph)
 
 
+def test_serialize_graph_names_the_first_bad_symbol():
+    """Labels in sorted order, then names in node order: the error names
+    the first symbol that is not one token, however many are bad."""
+    for labels, names, first in [
+        ({"b c", "a#", "ok"}, ("x y", ""), "a#"),
+        ({"z z", "a"}, ("", "m n"), "z z"),
+        ({"a", "b"}, ("ok", "p\tq", "", "r#"), "p\tq"),
+        ({"a"}, ("ok", "x", "\x1c"), "\x1c"),
+        ({"", "e"}, None, ""),
+    ]:
+        count = 3 if names is None else len(names)
+        graph = LabeledDigraph(count, labels, (), names)
+        with pytest.raises(InvalidParamsError, match=re.escape(repr(first))):
+            serialize_graph(graph)
+
+
+SYMBOLS = st.text(alphabet="ab# \t\x1c\xa0 ", max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.frozensets(SYMBOLS, max_size=4), st.lists(SYMBOLS, min_size=1, max_size=4, unique=True))
+def test_serialize_graph_scan_agrees_with_per_symbol_check(labels, names):
+    graph = LabeledDigraph(len(names), labels, (), names)
+    bad = [sym for sym in (*sorted(labels), *names) if "#" in sym or sym.split() != [sym]]
+    if bad:
+        with pytest.raises(InvalidParamsError, match=re.escape(repr(bad[0]))):
+            serialize_graph(graph)
+    else:
+        assert parse_graph(serialize_graph(graph)) == graph
+
+
 def test_graph_duplicate_edges_collapse():
     g = parse_graph("nodes 2\n0 e 1\n0 e 1\n")
     assert len(g.edges) == 1
