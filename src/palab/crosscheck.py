@@ -1,4 +1,5 @@
-"""Brute-force oracles and randomized equivalence suites.
+"""Brute-force oracles, the BMM-via-D1 route (`multiply_via_d1`) and
+randomized equivalence suites.
 
 Each check_* suite compares two independently computed answers on the
 instances of one trial loop, `_run`: trial k has seed
@@ -34,7 +35,7 @@ from .model import (
     _trusted,
 )
 from .peg import ExprForm, build_peg
-from .reductions import bmm_to_d1, d1_to_program, multiply_via_d1, triangle_to_st_d1
+from .reductions import bmm_to_d1, d1_to_program, triangle_to_st_d1
 
 _SEED_STRIDE = 1000003
 
@@ -216,6 +217,17 @@ def _run(suite: str, trials: int, seed: int, trial) -> CheckReport:
         tseed = seed * _SEED_STRIDE + k
         mismatches += trial(tseed, random.Random(tseed) if k else None)
     return CheckReport(suite, trials, tuple(mismatches))
+
+
+def multiply_via_d1(a: BooleanMatrix, b: BooleanMatrix) -> BooleanMatrix:
+    """The BMM-via-D1 route: the Boolean product read off the Dyck-1
+    reachability of `bmm_to_d1`'s graph, from x_i to z_j through its map."""
+    inst = bmm_to_d1(a, b)
+    grammar = builtin_grammar("d1")
+    summaries = all_pairs(inst.graph, grammar)
+    xs = [inst.map.entity(i, "x") for i in range(a.n)]
+    zs = [inst.map.entity(j, "z") for j in range(a.n)]
+    return BooleanMatrix([[int(summaries.holds(x, grammar.start, z)) for z in zs] for x in xs])
 
 
 def check_bmm_chain(

@@ -152,6 +152,8 @@ class StatementKind(enum.Enum):
     ASSIGN_STAR = "assign_star" # a = *b
     STAR_ASSIGN = "star_assign" # *a = b
 
+    __hash__ = object.__hash__  # members are singletons; skips Enum's Python-level hash
+
 
 # kind -> (lhs prefix, rhs prefix): each kind's one spelling in the `.pa`
 # syntax, `<lhs prefix><lhs> = <rhs prefix><rhs>`; the `.pa` parser reads it too

@@ -11,7 +11,9 @@
   layer copy.
 
 All outputs are byte-deterministic for a given input, and every reduction
-returns a provenance map from input entities to output entities.
+returns a provenance map from input entities to output entities. The module
+only constructs, and it imports nothing but `model`; the routes that saturate
+or solve a reduced instance and read the answer back are in `crosscheck`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .model import (
     is_identifier,
     is_node_id,
 )
-from .cfl import all_pairs, builtin_grammar
 
 
 @dataclass(frozen=True)
@@ -102,17 +103,6 @@ def bmm_to_d1(a: BooleanMatrix, b: BooleanMatrix) -> D1Instance:
         meta={"n": n, "x_base": 0, "y_base": n, "z_base": 2 * n},
     )
     return D1Instance(graph, rmap)
-
-
-def multiply_via_d1(a: BooleanMatrix, b: BooleanMatrix) -> BooleanMatrix:
-    """Boolean product computed by Dyck-1 reachability on the reduced graph."""
-    inst = bmm_to_d1(a, b)
-    grammar = builtin_grammar("d1")
-    summaries = all_pairs(inst.graph, grammar)
-    n = a.n
-    return BooleanMatrix(
-        [[int(summaries.holds(i, grammar.start, 2 * n + j)) for j in range(n)] for i in range(n)]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +209,8 @@ def _edge_pairs(graph: LabeledDigraph, directed: bool) -> list[tuple[int, int]]:
 
 
 def triangle_to_st_d1(graph: LabeledDigraph, directed: bool = False) -> StInstance:
-    """Four layer copies per node plus s and t, and, if the input has an
-    edge, three hop nodes per node.
+    """Four layer copies per node, u_j = 4u + j (j in 0..3), plus s = 4n
+    and t = 4n + 1, and, if the input has an edge, three hop nodes per node.
 
     An open-bracket chain runs from s through layer 0 (ascending node
     order) and a close-bracket chain from layer 3 back into t, so the walk
@@ -235,31 +225,24 @@ def triangle_to_st_d1(graph: LabeledDigraph, directed: bool = False) -> StInstan
     """
     pairs = _edge_pairs(graph, directed)
     n = graph.node_count
-
-    def layer(u: int, j: int) -> int:
-        return 4 * u + j
-
-    def aux(u: int, j: int) -> int:
-        return 4 * n + 2 + 3 * u + j
-
     s_node, t_node = 4 * n, 4 * n + 1
     edges: set[tuple[int, str, int]] = set()
     if n:
-        edges.add((s_node, DYCK_OPEN, layer(0, 0)))
-        edges.add((layer(0, 3), DYCK_CLOSE, t_node))
+        edges.add((s_node, DYCK_OPEN, 0))
+        edges.add((3, DYCK_CLOSE, t_node))
     for u in range(1, n):
-        edges.add((layer(u - 1, 0), DYCK_OPEN, layer(u, 0)))
-        edges.add((layer(u, 3), DYCK_CLOSE, layer(u - 1, 3)))
+        edges.add((4 * u - 4, DYCK_OPEN, 4 * u))
+        edges.add((4 * u + 3, DYCK_CLOSE, 4 * u - 1))
 
     hops = range(n if pairs else 0)
     for u in hops:
         for j in range(3):
-            edges.add((layer(u, j), DYCK_OPEN, aux(u, j)))
+            edges.add((4 * u + j, DYCK_OPEN, 4 * n + 2 + 3 * u + j))
     for u, v in pairs:
         for j in range(3):
-            edges.add((aux(u, j), DYCK_CLOSE, layer(v, j + 1)))
+            edges.add((4 * n + 2 + 3 * u + j, DYCK_CLOSE, 4 * v + j + 1))
             if not directed:
-                edges.add((aux(v, j), DYCK_CLOSE, layer(u, j + 1)))
+                edges.add((4 * n + 2 + 3 * v + j, DYCK_CLOSE, 4 * u + j + 1))
 
     aux_names = [f"t{3 * u + j}" for u in hops for j in range(3)]
     base = graph.node_names or [f"n{v}" for v in range(n)]
@@ -278,7 +261,7 @@ def triangle_to_st_d1(graph: LabeledDigraph, directed: bool = False) -> StInstan
     )
     rmap = ReductionMap(
         roles=("layer0", "layer1", "layer2", "layer3"),
-        forward={u: tuple(layer(u, j) for j in range(4)) for u in range(n)},
+        forward={u: tuple(range(4 * u, 4 * u + 4)) for u in range(n)},
         meta={"s": s_node, "t": t_node, "directed": directed},
     )
     # s has one edge, out to 0_0, and t one edge, in from 0_3

@@ -358,7 +358,7 @@ def serialize_solution(solution: PointsToSolution) -> str:
 
 
 def serialize_map(rmap: ReductionMap) -> str:
-    """TSV provenance rows: `<source-entity>\\t<role>\\t<target-name>`."""
+    """TSV provenance rows `meta\\t<key>\\t<value>`, then `<source-entity>\\t<role>\\t<target>`."""
     lines = [f"meta\t{key}\t{rmap.meta[key]}" for key in sorted(rmap.meta)]
     for key in sorted(rmap.forward):
         for role, value in zip(rmap.roles, rmap.forward[key]):

@@ -7,9 +7,9 @@ import pytest
 
 from palab.andersen import solve
 from palab.cfl import all_pairs, builtin_grammar, st_query
-from palab.crosscheck import bmm_oracle, triangle_oracle
+from palab.crosscheck import bmm_oracle, multiply_via_d1, triangle_oracle
 from palab.model import DYCK_LABELS, BooleanMatrix, LabeledDigraph, StatementProfile
-from palab.reductions import d1_to_program, multiply_via_d1, triangle_to_st_d1
+from palab.reductions import d1_to_program, triangle_to_st_d1
 
 import helpers
 

@@ -4,6 +4,7 @@ from palab.andersen import solve
 from palab.cfl import all_pairs, builtin_grammar, st_query
 from palab.crosscheck import (
     bmm_oracle,
+    multiply_via_d1,
     rand_dyck_graph,
     rand_matrix,
     rand_simple_graph,
@@ -29,7 +30,6 @@ from palab.reductions import (
     StInstance,
     bmm_to_d1,
     d1_to_program,
-    multiply_via_d1,
     triangle_to_st_d1,
 )
 from palab.textio import parse_program, serialize_program

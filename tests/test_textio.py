@@ -306,6 +306,8 @@ LOADED = {
     "palab.textio": ["palab", "palab.model", "palab.textio"],
     "palab.andersen": ["palab", "palab.andersen", "palab.model"],
     "palab.cfl": ["palab", "palab.cfl", "palab.model", "palab.peg"],
+    "palab.reductions": ["palab", "palab.model", "palab.reductions"],
+    "palab.peg": ["palab", "palab.model", "palab.peg"],
 }
 
 
