@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 import time
 
@@ -51,8 +53,16 @@ def _sizes(text: str) -> list[int]:
 
 
 def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    """Rewrite `path` in place: open without truncating, write, then cut a
+    regular file at the end of the new text. Truncating a non-empty file on
+    open makes ext4 start writing its data back at close (`auto_da_alloc`),
+    which a pipeline that rewrites its files pays on every step. A device
+    such as /dev/null refuses `ftruncate`, so only regular files are cut."""
+    data = text.encode("utf-8")
+    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        handle.write(data)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
 
 
 def _load_grammar(name_or_path: str, graph):

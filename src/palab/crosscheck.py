@@ -35,7 +35,7 @@ from .model import (
     _trusted,
 )
 from .peg import ExprForm, build_peg
-from .reductions import bmm_to_d1, d1_to_program, triangle_to_st_d1
+from .reductions import D1Instance, bmm_to_d1, d1_to_program, triangle_to_st_d1
 
 _SEED_STRIDE = 1000003
 
@@ -220,13 +220,18 @@ def _run(suite: str, trials: int, seed: int, trial) -> CheckReport:
 
 
 def multiply_via_d1(a: BooleanMatrix, b: BooleanMatrix) -> BooleanMatrix:
-    """The BMM-via-D1 route: the Boolean product read off the Dyck-1
-    reachability of `bmm_to_d1`'s graph, from x_i to z_j through its map."""
-    inst = bmm_to_d1(a, b)
+    """The BMM-via-D1 route: the Boolean product of `a` and `b` read off
+    their `bmm_to_d1` instance by `_product_via_d1`."""
+    return _product_via_d1(bmm_to_d1(a, b), a.n)
+
+
+def _product_via_d1(inst: D1Instance, n: int) -> BooleanMatrix:
+    """The Boolean product read off the Dyck-1 reachability of a `bmm_to_d1`
+    instance of n x n matrices, from x_i to z_j through its map."""
     grammar = builtin_grammar("d1")
     summaries = all_pairs(inst.graph, grammar)
-    xs = [inst.map.entity(i, "x") for i in range(a.n)]
-    zs = [inst.map.entity(j, "z") for j in range(a.n)]
+    xs = [inst.map.entity(i, "x") for i in range(n)]
+    zs = [inst.map.entity(j, "z") for j in range(n)]
     return BooleanMatrix([[int(summaries.holds(x, grammar.start, z)) for z in zs] for x in xs])
 
 
@@ -236,7 +241,8 @@ def check_bmm_chain(
     seed: int,
     profile: StatementProfile = StatementProfile.CASE1,
 ) -> CheckReport:
-    """bmm_oracle == multiply_via_d1 == points-to readback, per trial."""
+    """bmm_oracle == the BMM-via-D1 route == points-to readback, per trial;
+    both routes read one `bmm_to_d1` instance."""
     if n_max < 1:
         raise InvalidParamsError("need n_max >= 1")
 
@@ -247,12 +253,12 @@ def check_bmm_chain(
             n = 1 + _pick(rng, n_max)
             a = rand_matrix(n, 0.3, _pick(rng, 1 << 32))
             b = rand_matrix(n, 0.3, _pick(rng, 1 << 32))
+        n = a.n
         expected = bmm_oracle(a, b)
-        via_graph = multiply_via_d1(a, b)
         inst = bmm_to_d1(a, b)
+        via_graph = _product_via_d1(inst, n)
         program, pmap = d1_to_program(inst.graph, profile)
         solution = solve(program)
-        n = a.n
         xs = [pmap.forward[inst.map.entity(i, "x")][0] for i in range(n)]
         zs = [pmap.forward[inst.map.entity(j, "z")][1] for j in range(n)]
         readback = BooleanMatrix([[int(solution.query(x, z)) for z in zs] for x in xs])

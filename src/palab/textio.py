@@ -6,12 +6,9 @@ matrices (.bm), grammars (.cfg), solutions (.sol), provenance maps (.map).
 serializing a parsed canonical text gives the text back.
 
 In `.cfg` text a line whose second token is `->` is a production, even when
-its first token is `start`, `terminals` or `nonterminals`. Each grammar
-symbol is one token, so `serialize_grammar` rejects the symbols the text
-cannot carry: `eps` (the empty body), `->`, the empty name, and any name
-containing `#` or whitespace. Each `.lg` label and node name is one token
-too, so `serialize_graph` rejects the empty one and any containing `#` or
-whitespace.
+its first token is `start`, `terminals` or `nonterminals`; `.cfg` text is
+only read. Each `.lg` label and node name is one token, so `serialize_graph`
+rejects the empty one and any containing `#` or whitespace.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from .model import (
     SPELLING,
     BooleanMatrix,
     Grammar,
-    GrammarError,
     InvalidParamsError,
     LabeledDigraph,
     ParseError,
@@ -320,21 +316,6 @@ def parse_grammar(text: str) -> Grammar:
         raise ParseError("grammar file missing `start` line")
     nonterminals.add(start)
     return Grammar(terminals, nonterminals, productions, start)
-
-
-def serialize_grammar(grammar: Grammar) -> str:
-    """Raises `GrammarError` for a symbol that `.cfg` text cannot carry."""
-    for sym in sorted(grammar.terminals | grammar.nonterminals):
-        if sym in ("eps", "->") or not _is_token(sym):
-            raise GrammarError(f"symbol {sym!r} cannot be written as .cfg text")
-    lines = [
-        "start " + grammar.start,
-        "terminals " + " ".join(sorted(grammar.terminals)),
-        "nonterminals " + " ".join(sorted(grammar.nonterminals)),
-    ]
-    for lhs, rhs in grammar.productions:
-        lines.append(f"{lhs} -> {' '.join(rhs) if rhs else 'eps'}")
-    return "".join(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------

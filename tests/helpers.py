@@ -26,6 +26,7 @@ from palab.model import (
     DYCK_LABELS,
     DYCK_OPEN,
     Grammar,
+    GrammarError,
     InvalidParamsError,
     LabeledDigraph,
     ParseError,
@@ -42,6 +43,7 @@ from palab.model import (
 )
 from palab.peg import PEG, _EDGE_OF_KIND
 from palab.reductions import StInstance, _edge_pairs, _node_base_names
+from palab.textio import _is_token
 
 EXAMPLE_PROGRAM_TEXT = "a = &b\nb = &d\nc = *a\n"
 
@@ -279,6 +281,25 @@ def saturate(graph: LabeledDigraph, grammar: Grammar):
         (u, c, v) for c, rows in enumerate(out) for u, row in enumerate(rows) for v in _ones(row)
     }
     return triples, norm.codes
+
+
+# `.cfg` text for a grammar, which palab only reads: the tests write grammar
+# files with it and check that `textio.parse_grammar` reads them back.
+def serialize_grammar(grammar: Grammar) -> str:
+    """Raises `GrammarError` for a symbol that `.cfg` text cannot carry:
+    `eps` (the empty body), `->`, the empty name, and any name containing
+    `#` or whitespace."""
+    for sym in sorted(grammar.terminals | grammar.nonterminals):
+        if sym in ("eps", "->") or not _is_token(sym):
+            raise GrammarError(f"symbol {sym!r} cannot be written as .cfg text")
+    lines = [
+        "start " + grammar.start,
+        "terminals " + " ".join(sorted(grammar.terminals)),
+        "nonterminals " + " ".join(sorted(grammar.nonterminals)),
+    ]
+    for lhs, rhs in grammar.productions:
+        lines.append(f"{lhs} -> {' '.join(rhs) if rhs else 'eps'}")
+    return "".join(line + "\n" for line in lines)
 
 
 def zero_matrix(n: int) -> BooleanMatrix:

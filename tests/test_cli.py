@@ -1,5 +1,8 @@
 import json
+import os
+import stat
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,10 +173,9 @@ def test_seed_comes_only_from_the_flag(workdir, capsys, monkeypatch):
 
 def test_reach_with_grammar_file(workdir, capsys):
     from palab.cfl import builtin_grammar
-    from palab.textio import serialize_grammar
 
     cfg = workdir / "dyck.cfg"
-    cfg.write_text(serialize_grammar(builtin_grammar("d1")))
+    cfg.write_text(helpers.serialize_grammar(builtin_grammar("d1")))
     g = workdir / "g.lg"
     main(["reduce", "bmm-to-d1", str(workdir / "A.bm"), str(workdir / "B.bm"), "-o", str(g)])
     assert main(["reach", str(g), "--grammar", str(cfg)]) == 0
@@ -512,3 +514,53 @@ def test_long_digit_tokens_with_leading_zeros_are_their_value(workdir, capsys):
     argv = ["--grammar", f"dyck:{zeros}1", "--source", f"-{zeros}", "--target", f"{zeros}2"]
     assert main(["reach", str(workdir / "g.lg"), *argv]) == 0
     assert capsys.readouterr().out == "reachable\n"
+
+
+# Each writer as a function of the work directory and the output path it is handed.
+_WRITERS = {
+    "gen -o": lambda d, out: ["gen", "matrix", "-n", "5", "--seed", "1", "-o", out],
+    "reduce -o": lambda d, out: ["reduce", "bmm-to-d1", str(d / "A.bm"), str(d / "B.bm"), "-o", out],
+    "reduce --map": lambda d, out: [
+        "reduce", "bmm-to-d1", str(d / "A.bm"), str(d / "B.bm"), "-o", str(d / "g.lg"), "--map", out
+    ],
+}
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+@pytest.mark.parametrize("stale", ["longer", "shorter"])
+def test_rewriting_an_output_gives_the_bytes_of_a_fresh_write(workdir, writer, stale):
+    """Outputs are rewritten in place and cut at the end of the new text."""
+    argv = _WRITERS[writer]
+    fresh = workdir / "fresh.out"
+    assert main(argv(workdir, str(fresh))) == 0
+    want = fresh.read_bytes()
+    old = workdir / "old.out"
+    old.write_bytes(b"x" * (len(want) + 4096 if stale == "longer" else len(want) // 2))
+    assert main(argv(workdir, str(old))) == 0
+    assert old.read_bytes() == want
+
+
+@pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+def test_output_to_dev_null_exits_0(capsys):
+    """A device is written but not truncated: /dev/null refuses `ftruncate`."""
+    assert main(["gen", "matrix", "-n", "3", "-o", "/dev/null"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_new_output_gets_the_mode_open_w_gives(workdir):
+    umask = os.umask(0o027)
+    try:
+        assert main(_WRITERS["gen -o"](workdir, str(workdir / "new.bm"))) == 0
+        open(workdir / "ref.bm", "w").close()
+    finally:
+        os.umask(umask)
+    mode = stat.S_IMODE((workdir / "new.bm").stat().st_mode)
+    assert mode == stat.S_IMODE((workdir / "ref.bm").stat().st_mode) == 0o666 & ~0o027
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_an_output_naming_a_directory_exits_2(workdir, writer, capsys):
+    (workdir / "dir").mkdir()
+    assert main(_WRITERS[writer](workdir, str(workdir / "dir"))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err

@@ -26,6 +26,7 @@ from palab.model import (
     SelfLoopError,
     StatementProfile,
 )
+from palab.reductions import bmm_to_d1
 from palab.textio import serialize_graph, serialize_matrix, serialize_program
 
 import helpers
@@ -89,6 +90,19 @@ def test_small_suite_runs_pass():
     assert check_pt_prime(trials=5, seed=11).passed
     assert check_triangle_chain(n_max=3, trials=1, seed=0).passed
     assert check_triangle_chain(n_max=5, trials=5, seed=0, directed=True).passed
+
+
+def test_bmm_suite_builds_one_instance_per_trial(monkeypatch):
+    """The graph stage and the points-to readback read the same instance."""
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return bmm_to_d1(a, b)
+
+    monkeypatch.setattr(cc, "bmm_to_d1", counting)
+    assert check_bmm_chain(n_max=4, trials=7, seed=2).passed
+    assert len(calls) == 7
 
 
 def test_suite_parameter_validation():
@@ -207,7 +221,7 @@ def _negate_prime(all_pairs):
 @pytest.mark.parametrize(
     "suite, run, engine, negate",
     [
-        ("bmm", lambda s: check_bmm_chain(8, 3, s), "multiply_via_d1", _negate_matrix),
+        ("bmm", lambda s: check_bmm_chain(8, 3, s), "_product_via_d1", _negate_matrix),
         ("peg", lambda s: check_peg_equivalence(3, s), "all_pairs", lambda f: lambda *a: _Negated(f(*a))),
         ("pt-prime", lambda s: check_pt_prime(3, s), "all_pairs", _negate_prime),
         ("triangle", lambda s: check_triangle_chain(8, 3, s), "st_query", lambda f: lambda *a: not f(*a)),

@@ -33,7 +33,6 @@ from palab.textio import (
     parse_matrix,
     parse_program,
     serialize_graph,
-    serialize_grammar,
     serialize_map,
     serialize_matrix,
     serialize_program,
@@ -41,6 +40,7 @@ from palab.textio import (
 )
 
 import helpers
+from helpers import serialize_grammar
 
 
 # ---------------------------------------------------------------------------
