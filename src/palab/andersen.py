@@ -35,8 +35,8 @@ other node with a non-empty set once the offline phase ends.
 `rep` is a flat list, so finding a representative is one index. The output
 is the bitsets themselves, each variable's row being its representative's
 set; no frozenset is built unless `PointsToSolution.pt` is read.
-The result is the least fixed point of whole-set iteration, whatever the
-worklist policy or statement order.
+The worklist is first in, first out. The result is the least fixed point of
+whole-set iteration, whatever the pop order or statement order.
 """
 
 from __future__ import annotations
@@ -48,19 +48,18 @@ from .model import PointsToSolution, Program, StatementKind, _ones
 
 
 def _copy_sccs(
-    succ: list[set[int]], rep: Sequence[int] = (), roots: Iterable[int] = ()
+    succ: list[set[int]], rep: Sequence[int], roots: Iterable[int]
 ) -> list[list[int]]:
     """Copy-edge cycles (components of more than one node) reachable from
-    `roots` (default: every node), by one iterative Tarjan pass that reads
-    edge targets through `rep` (default: as they are). Each component comes
-    after every one that it reaches. low[u] is 0 until u is visited, then its
-    1-based stack depth lowered to the least one it reaches, then
-    len(succ) + 1 once closed."""
+    `roots`, by one iterative Tarjan pass that reads edge targets through
+    `rep`. Each component comes after every one that it reaches. low[u] is 0
+    until u is visited, then its 1-based stack depth lowered to the least one
+    it reaches, then len(succ) + 1 once closed."""
     done = len(succ) + 1
     low = [0] * len(succ)
-    step = (rep or range(len(succ))).__getitem__
+    step = rep.__getitem__
     found = []
-    for root in roots or range(len(succ)):
+    for root in roots:
         if low[root] or not succ[root]:
             continue
         stack = [root]  # every earlier component is closed
@@ -92,22 +91,15 @@ def _copy_sccs(
     return found
 
 
-def solve(
-    program: Program, policy: str = "fifo", stats: Optional[dict] = None
-) -> PointsToSolution:
+def solve(program: Program, stats: Optional[dict] = None) -> PointsToSolution:
     """Least fixed point of the inclusion constraints; deterministic.
 
-    `policy` picks the worklist discipline ("fifo" or "lifo"); both yield
-    the identical solution, which the test suite pins. When `stats` is a
-    dict, it receives the counters `pops` (nonempty deltas processed),
-    `copy_edges` (edges added by complex constraints), `cycle_checks`
-    (initial copy-edge SCCs collapsed, plus Tarjan passes rooted at z for a
-    lazily found cycle) and `merged` (variables collapsed into another
-    representative, by either phase).
+    When `stats` is a dict, it receives the counters `pops` (nonempty deltas
+    processed), `copy_edges` (edges added by complex constraints),
+    `cycle_checks` (initial copy-edge SCCs collapsed, plus Tarjan passes
+    rooted at z for a lazily found cycle) and `merged` (variables collapsed
+    into another representative, by either phase).
     """
-    if policy not in ("fifo", "lifo"):
-        raise ValueError(f"unknown worklist policy {policy!r}")
-
     variables = program.variables
     nvars = len(variables)
     index = {v: i for i, v in enumerate(variables)}
@@ -143,7 +135,7 @@ def solve(
     clean = [0] * nvars
     delta = [0] * nvars
     work: deque[int] = deque()
-    pop = work.popleft if policy == "fifo" else work.pop
+    pop = work.popleft
     push = work.append
     checked: set[int] = set()  # x * nvars + z for every edge x -> z searched from
     candidates: list[int] = []
@@ -194,7 +186,7 @@ def solve(
                         push(t)
                     delta[t] |= new
 
-    for component in _copy_sccs(succ):  # the offline phase
+    for component in _copy_sccs(succ, rep, range(nvars)):  # the offline phase
         checks += 1
         collapse(component)
     for i in range(nvars):

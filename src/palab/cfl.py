@@ -270,12 +270,8 @@ def normalize(grammar: Grammar) -> NormalizedGrammar:
                 extra.append((lhs, (y,)))
             if y in nullable:
                 extra.append((lhs, (x,)))
-    seen: set = set()
-    deduped = []
-    for rule in rules + extra:
-        if rule not in seen and rule[1] != (rule[0],):  # drop X -> X self loops
-            seen.add(rule)
-            deduped.append(rule)
+    # first occurrences, without X -> X self loops
+    deduped = [rule for rule in dict.fromkeys(rules + extra) if rule[1] != (rule[0],)]
 
     codes = {sym: c for c, sym in enumerate(sorted(taken | helper_map.keys()))}
     unit_by: list[list[int]] = [[] for _ in codes]

@@ -263,11 +263,11 @@ def parse_matrix(text: str) -> BooleanMatrix:
     if not is_count(header):
         raise ParseError(f"bad matrix size {header!r}", lineno)
     n = to_int(header)
+    if not n:
+        raise ParseError("matrix must be non-empty", lineno)
     rows = lines[1:]
     if len(rows) != n:
         raise ParseError(f"expected {n} rows, got {len(rows)}")
-    if not n:
-        raise InvalidParamsError("matrix must be non-empty")
     bits = []
     for lineno, row in rows:
         if len(row) != n:

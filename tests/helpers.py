@@ -14,8 +14,10 @@ import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass, fields, is_dataclass
 from operator import attrgetter
-from typing import Sequence
+from typing import Optional, Sequence
+from unittest import mock
 
+from palab import andersen
 from palab.cfl import _closure
 from palab.crosscheck import CheckReport, worked_dyck_graph
 from palab.model import (
@@ -441,6 +443,17 @@ def least_fixpoint(program: Program) -> PointsToSolution:
     variables = program.variables
     bit = {v: 1 << i for i, v in enumerate(variables)}
     return PointsToSolution(variables, tuple(sum(map(bit.get, pt[v])) for v in variables))
+
+
+class _LifoQueue(deque):
+    popleft = deque.pop
+
+
+def solve_lifo(program: Program, stats: Optional[dict] = None) -> PointsToSolution:
+    """`andersen.solve` with its worklist popped last in, first out: the
+    result must not depend on the pop order."""
+    with mock.patch.object(andersen, "deque", _LifoQueue):
+        return andersen.solve(program, stats)
 
 
 def erased_statement_forms(program: Program) -> list[str]:

@@ -234,8 +234,8 @@ def test_criterion_09_solver_property_suite(capsys):
         shuffled = list(program.statements)
         rng.shuffle(shuffled)
         ok &= solve(Program(shuffled)) == solution
-        # worklist policy independence
-        ok &= solve(program, policy="lifo") == solution
+        # worklist pop order independence
+        ok &= helpers.solve_lifo(program) == solution
         # monotone growth under statement addition
         cut = 1 + trial % len(program.statements)
         smaller_sol = solve(Program(program.statements[:cut]))

@@ -81,9 +81,7 @@ def test_statement_order_independence():
 def test_fifo_and_lifo_policies_agree():
     for trial in range(120):
         prog = rand_program(10, 20, seed=6000 + trial)
-        assert solve(prog, policy="fifo") == solve(prog, policy="lifo")
-    with pytest.raises(ValueError):
-        solve(worked_program(), policy="random")
+        assert solve(prog) == helpers.solve_lifo(prog)
 
 
 def test_monotone_under_statement_addition():
@@ -128,8 +126,19 @@ CYCLE_SHAPES = {
 def test_cycle_shapes_reach_the_least_fixpoint(name):
     prog = parse_program(CYCLE_SHAPES[name])
     expected = helpers.least_fixpoint(prog)
-    for policy in ("fifo", "lifo"):
-        assert solve(prog, policy=policy) == expected, (name, policy)
+    for run in (solve, helpers.solve_lifo):
+        assert run(prog) == expected, (name, run)
+
+
+def test_lifo_helper_pops_last_in_first_out():
+    # (pops, copy_edges, cycle_checks, merged) differ between the two orders,
+    # so the helper cannot silently rerun the FIFO solver
+    prog = parse_program(CYCLE_SHAPES["ring closed by a store"])
+    for run, expected in ((solve, (4, 1, 2, 2)), (helpers.solve_lifo, (3, 1, 1, 2))):
+        stats = {}
+        run(prog, stats)
+        counters = stats["pops"], stats["copy_edges"], stats["cycle_checks"], stats["merged"]
+        assert counters == expected, run
 
 
 @pytest.mark.parametrize("max_vars, max_stmts", [(20, 240), (15, 30)])
@@ -137,8 +146,8 @@ def test_cycle_heavy_programs_reach_the_least_fixpoint(max_vars, max_stmts):
     for trial in range(150):
         prog = rand_program(max_vars, max_stmts, seed=8000 + trial)
         expected = helpers.least_fixpoint(prog)
-        for policy in ("fifo", "lifo"):
-            assert solve(prog, policy=policy) == expected, (trial, policy)
+        for run in (solve, helpers.solve_lifo):
+            assert run(prog) == expected, (trial, run)
 
 
 def test_copy_ring_is_collapsed_and_counted():
@@ -156,8 +165,8 @@ def test_workload_sized_programs_reach_the_least_fixpoint(max_vars, max_stmts):
     for trial in range(12):
         prog = rand_program(max_vars, max_stmts, seed=12000 + trial)
         expected = helpers.least_fixpoint(prog)
-        for policy in ("fifo", "lifo"):
-            assert solve(prog, policy=policy) == expected, (trial, policy)
+        for run in (solve, helpers.solve_lifo):
+            assert run(prog) == expected, (trial, run)
 
 
 # Shapes around the copy-edge cycles that exist before the first pop and are
@@ -176,8 +185,8 @@ OFFLINE_SHAPES = {
 def test_offline_shapes_reach_the_least_fixpoint(name):
     prog = parse_program(OFFLINE_SHAPES[name])
     expected = helpers.least_fixpoint(prog)
-    for policy in ("fifo", "lifo"):
-        assert solve(prog, policy=policy) == expected, (name, policy)
+    for run in (solve, helpers.solve_lifo):
+        assert run(prog) == expected, (name, run)
 
 
 def test_offline_pass_counts_each_component_as_one_check():
@@ -240,7 +249,7 @@ def test_copy_sccs_match_mutual_reachability():
             for u in range(n):
                 reach[u] = reach[u].union(*(reach[w] for w in succ[u]))
         expected = {frozenset(w for w in reach[u] if u in reach[w]) for u in range(n)}
-        found = [frozenset(c) for c in _copy_sccs(succ)]
+        found = [frozenset(c) for c in _copy_sccs(succ, range(n), range(n))]
         assert len(found) == len(set(found)), trial
         assert set(found) == {c for c in expected if len(c) > 1}, trial
 
@@ -252,10 +261,10 @@ def test_whole_copy_component_is_collapsed():
     # edge it checks
     prog = parse_program("v0 = *v3\nv2 = &v1\n*v0 = v0\nv3 = &v2\nv3 = &v3")
     expected = helpers.least_fixpoint(prog)
-    for policy in ("fifo", "lifo"):
+    for run in (solve, helpers.solve_lifo):
         stats = {}
-        assert solve(prog, policy=policy, stats=stats) == expected, policy
-        assert stats["merged"] == 3, (policy, stats)
+        assert run(prog, stats) == expected, run
+        assert stats["merged"] == 3, (run, stats)
 
 
 def test_rooted_copy_sccs_return_the_components_reachable_from_the_root():

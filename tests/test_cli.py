@@ -353,6 +353,13 @@ def test_matrix_size_must_be_ascii_digits(workdir, capsys, size):
     assert err.startswith("error: ") and "bad matrix size" in err and "Traceback" not in err
 
 
+def test_zero_size_matrix_is_a_parse_error_with_its_line(workdir, capsys):
+    zero = workdir / "z.bm"
+    zero.write_text("0\n")
+    assert main(["reduce", "bmm-to-d1", str(zero), str(zero), "-o", str(workdir / "out.lg")]) == 2
+    assert capsys.readouterr().err == "error: line 1: matrix must be non-empty\n"
+
+
 @pytest.mark.parametrize("name", ["dyck:1_0", "dyck:٣", "dyck:+2", "dyck: 2"])
 def test_dyck_grammar_count_must_be_ascii_digits(workdir, capsys, name):
     err = _reach_error(workdir, capsys, "nodes 2\n0 [1 1\n", "--grammar", name)

@@ -206,6 +206,8 @@ def test_matrix_errors():
         parse_matrix("2\n01\n")
     with pytest.raises(ParseError):
         parse_matrix("x\n")
+    with pytest.raises(ParseError, match="^line 1: matrix must be non-empty$"):
+        parse_matrix("0\n")
 
 
 # ---------------------------------------------------------------------------
