@@ -2,6 +2,8 @@ import pickle
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palab.model import (
     BadEdgeLabelError,
@@ -79,14 +81,46 @@ def test_variable_make_and_replace_give_variables():
     assert Variable("a") == ("a",) and hash(Variable("a")) == hash(("a",))
 
 
+def _boundary_row(count, length):
+    """A row of `count` set bits whose highest is bit `length - 1`."""
+    return 1 << (length - 1) | (1 << (count - 1)) - 1
+
+
+# rows with 8 * count == length, and one bit either side: `_select`'s crossover
+BOUNDARY_ROWS = [
+    _boundary_row(count, 8 * count + d) for count in (4, 8, 32) for d in (-1, 0, 1)
+]
+
+
 @pytest.mark.parametrize(
-    "bits", [0, 1, 0b1011, 1 << 70, (1 << 130) - 1, 0x5A5A << 40, 1 << 2000 | 1 << 3 | 1]
+    "bits",
+    [0, 1, 0b1011, 1 << 70, (1 << 130) - 1, 0x5A5A << 40, 1 << 2000 | 1 << 3 | 1]
+    # CPython's 30-bit digit boundaries, and a wide row with 1 bit in 8 set
+    + [1 << 29, 1 << 30, (1 << 30) - 1, 1 << 59 | 1 << 60, (1 << 90) - 1]
+    + [sum(1 << v for v in range(0, 3000, 8))]
+    + BOUNDARY_ROWS,
 )
 def test_bitset_walks_agree(bits):
     width = bits.bit_length() + 3
     expected = [v for v in range(width) if bits >> v & 1]
     assert _ones(bits) == expected
     assert list(_select(range(width), bits)) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**2048))
+def test_bitset_walks_match_bit_tests(bits):
+    width = bits.bit_length() + 3
+    expected = [v for v in range(width) if bits >> v & 1]
+    assert _ones(bits) == expected
+    assert list(_select(range(width), bits)) == expected
+
+
+@pytest.mark.parametrize("bits", BOUNDARY_ROWS)
+def test_select_lists_rows_below_one_bit_in_eight(bits):
+    # the list path runs below 1 set bit in 8, the `compress` walk from there up
+    listed = isinstance(_select(range(bits.bit_length()), bits), list)
+    assert listed == (8 * bits.bit_count() < bits.bit_length())
 
 
 def test_statement_surface_forms():
