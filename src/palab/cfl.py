@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, groupby
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .model import (
     AlphabetMismatchError,
@@ -110,18 +110,6 @@ def builtin_grammar(name: str, max_kinds: Optional[int] = None) -> Grammar:
 # ---------------------------------------------------------------------------
 # normalization
 
-def _nullable_closure(productions: Sequence[tuple[str, tuple[str, ...]]]) -> set[str]:
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in productions:
-            if lhs not in nullable and all(sym in nullable for sym in rhs):
-                nullable.add(lhs)
-                changed = True
-    return nullable
-
-
 @dataclass(frozen=True)
 class NormalizedGrammar:
     """Binarized grammar compiled into the saturation engine's tables.
@@ -194,7 +182,8 @@ def normalize(grammar: Grammar) -> NormalizedGrammar:
     it spans, so productions whose bodies share that span share the helper;
     `helper_map` records the first production that needed it. Helper
     names are `@<k>` names that the grammar does not use. No other
-    function codes symbols.
+    function codes symbols. The nullable symbols, helpers included, are one
+    least fixpoint over the emitted rules from the heads with empty bodies.
 
     Last, the static symbols are found by least fixpoint from the
     terminals, each symbol gets the worklist its rows enter (`queue_of`,
@@ -207,7 +196,6 @@ def normalize(grammar: Grammar) -> NormalizedGrammar:
     Results are cached per grammar value; every caller shares the one
     read-only value.
     """
-    nullable = _nullable_closure(grammar.productions)
     taken = grammar.terminals | grammar.nonterminals
 
     helper_map: dict[str, tuple[str, tuple[str, ...]]] = {}
@@ -226,8 +214,6 @@ def normalize(grammar: Grammar) -> NormalizedGrammar:
             counter += 1
         name = helper_of[span] = f"@{counter}"
         helper_map[name] = origin
-        if all(s in nullable for s in span):
-            nullable.add(name)
         return name, False
 
     def chain(head: str, body: tuple[str, ...], origin):
@@ -260,6 +246,10 @@ def normalize(grammar: Grammar) -> NormalizedGrammar:
             body = fold(body, origin)
         if body:  # an empty body is carried by `nullable`
             chain(head, body, origin)
+
+    nullable = {head for head, body in grammar.productions if not body}
+    while grown := {lhs for lhs, rhs in rules if nullable.issuperset(rhs)} - nullable:
+        nullable |= grown
 
     # compensation for nullable operands of binary rules
     extra: list[tuple[str, tuple[str, ...]]] = []

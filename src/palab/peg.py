@@ -31,9 +31,7 @@ class ExprForm(enum.Enum):
     DEREF = 2  # *v
 
 
-# the forms and their spelled prefixes in node order (&v, v, *v); `build_peg`
-# iterates a tuple, since iterating the enum class goes through `EnumMeta`
-_FORMS = tuple(ExprForm)
+# the forms' spelled prefixes in node order (&v, v, *v)
 _PREFIXES = ("&", "", "*")
 
 # statement kind -> (label, barred label, source offset, target offset) of its
@@ -52,18 +50,22 @@ PEG_ALPHABET = frozenset({"d", "-d"}.union(*((label, bar) for label, bar, _, _ i
 
 @dataclass(frozen=True)
 class PEG:
-    """Bidirected expression graph plus the node -> expression mapping."""
+    """Bidirected expression graph of a program's `variables`.
+
+    Variable i has the nodes 3i (&v), 3i + 1 (v) and 3i + 2 (*v), so node
+    n is the expression `ExprForm(n % 3)` of `variables[n // 3]`.
+    """
 
     graph: LabeledDigraph
-    expr_of: tuple[tuple[Variable, ExprForm], ...]
+    variables: tuple[Variable, ...]
 
     def node(self, var: Variable, form: ExprForm) -> int:
-        """Node id of an expression; the layout is (&v, v, *v) per variable."""
+        """Node id of an expression."""
         return 3 * self._var_index[var] + form.value
 
     @cached_property
     def _var_index(self) -> dict[Variable, int]:
-        return {var: i for i, (var, _) in enumerate(self.expr_of[1::3])}
+        return {var: i for i, var in enumerate(self.variables)}
 
 
 def build_peg(program: Program) -> PEG:
@@ -91,7 +93,6 @@ def build_peg(program: Program) -> PEG:
         add((dst, bar, src))
 
     names = [prefix + v.name for v in variables for prefix in _PREFIXES]
-    expr_of = tuple((v, form) for v in variables for form in _FORMS)
     # ids below 3|V|, PEG labels, and names as distinct as the variables' and never id-like
     graph = _trusted(
         LabeledDigraph,
@@ -100,4 +101,4 @@ def build_peg(program: Program) -> PEG:
         edges=frozenset(edges),
         node_names=tuple(names) if names else None,
     )
-    return PEG(graph, expr_of)
+    return PEG(graph, variables)

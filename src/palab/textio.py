@@ -41,9 +41,8 @@ _WS = r"[^\S\n]*"  # whitespace inside one line
 # One normalized statement, groups (lstar, lhs, rop, rhs); a starred lhs
 # admits no right operator, so `*a = &b` fails here and needs no other check.
 _STMT = rf"(\*)?{_WS}({IDENT}){_WS}=(?(1)|{_WS}([&*])?){_WS}({IDENT})"
-_STMT_RE = re.compile(_STMT + r"\Z")
 # Per line of "\n"-joined text: exactly one statement, or the whole line as
-# group 5 for the chunk splitter (blank, comment, `;`, or an error).
+# group 5 (blank, comment, `;`, or an error); `_chunks` rescans its `;` pieces.
 _LINE_RE = re.compile(rf"^(?:{_WS}{_STMT}{_WS}$|(.*))", re.M)
 _KIND = {  # lstar -> rop -> kind: `SPELLING` read backwards
     lstar: {rop: kind for kind, (star, rop) in SPELLING.items() if star == lstar}
@@ -64,13 +63,11 @@ def _content_lines(text: str) -> Iterable[tuple[int, str]]:
 def _chunks(line: str, lineno: int) -> list[tuple[str, ...]]:
     """(lstar, lhs, rop, rhs) of each `;`-separated statement of one line."""
     found = []
-    for chunk in line.split("#", 1)[0].split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            m = _STMT_RE.match(chunk)
-            if not m:
-                raise ParseError(f"not a normalized statement: {chunk!r}", lineno)
-            found.append(m.groups(""))
+    for lstar, lhs, rop, rhs, rest in _LINE_RE.findall(line.split("#", 1)[0].replace(";", "\n")):
+        if lhs:
+            found.append((lstar, lhs, rop, rhs))
+        elif chunk := rest.strip():
+            raise ParseError(f"not a normalized statement: {chunk!r}", lineno)
     return found
 
 

@@ -43,7 +43,7 @@ from palab.model import (
     is_count,
     is_node_id,
 )
-from palab.peg import PEG, _EDGE_OF_KIND
+from palab.peg import PEG, ExprForm, _EDGE_OF_KIND
 from palab.reductions import StInstance, _edge_pairs, _node_base_names
 from palab.textio import _is_token
 
@@ -326,8 +326,8 @@ def peg_statements(peg: PEG) -> Program:
         if label not in edge_of_label:
             continue
         kind, offsets = edge_of_label[label]
-        svar, sform = peg.expr_of[src]
-        dvar, dform = peg.expr_of[dst]
+        svar, sform = peg.variables[src // 3], ExprForm(src % 3)
+        dvar, dform = peg.variables[dst // 3], ExprForm(dst % 3)
         if (sform.value, dform.value) != offsets:
             raise MalformedPegError(
                 f"{label}-edge joins {peg.graph.name_of(src)} and {peg.graph.name_of(dst)}, "

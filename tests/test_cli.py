@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,6 +77,25 @@ def test_reach_st_mode(workdir, capsys):
     assert main(["reduce", "triangle-to-d1", str(workdir / "path.lg"), "-o", str(g)]) == 0
     assert main(["reach", str(g), "--grammar", "d1", "--source", "s", "--target", "t"]) == 1
     assert capsys.readouterr().out == "unreachable\n"
+
+
+def test_module_entry_matches_main(workdir, capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    (workdir / "in.lg").write_text("nodes 4\nw e x\nx e y\ny e z\nx e z\n")
+    (workdir / "path.lg").write_text("nodes 3\n0 e 1\n1 e 2\n")
+    for name in ("in", "path"):
+        out = str(workdir / f"{name}-d1.lg")
+        assert main(["reduce", "triangle-to-d1", str(workdir / f"{name}.lg"), "-o", out]) == 0
+    capsys.readouterr()
+    for name, code in (("in-d1", 0), ("path-d1", 1), ("no_such", 2)):
+        argv = ["reach", str(workdir / f"{name}.lg"), "--grammar", "d1"]
+        argv += ["--source", "s", "--target", "t"]
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        run = subprocess.run(
+            [sys.executable, "-m", "palab.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, expected.out, expected.err)
 
 
 def test_reach_alphabet_mismatch_exits_2(workdir, capsys):

@@ -147,3 +147,16 @@ def test_follow_sets_match_the_two_pass_reference():
             with_helpers += bool(norm.helper_map)
         assert nullable_tails > 100  # the draws exercise Follow through nullable tails
         assert with_helpers > 100  # and through the rules of helpers
+
+
+def test_nullable_sets_match_the_reference_on_random_grammars():
+    for helper_names in (False, True):
+        for seed in range(1000):
+            g = _rand_grammar(seed, helper_names)
+            norm = normalize(g)
+            key = (seed, helper_names)
+            assert norm.nullable & g.nonterminals == helpers.reference_nullable(g.productions), key
+            # a helper derives epsilon iff one of its rules has an all-nullable body
+            for h in norm.helper_map:
+                bodies = [rhs for lhs, rhs in norm.binary_productions if lhs == h]
+                assert (h in norm.nullable) == any(map(norm.nullable.issuperset, bodies)), key

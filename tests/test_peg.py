@@ -71,6 +71,16 @@ def test_dereference_edges_for_every_variable():
         assert (peg.node(v, ExprForm.VAR), "d", peg.node(v, ExprForm.DEREF)) in peg.graph.edges
 
 
+def test_node_layout_is_three_nodes_per_variable():
+    for trial in range(40):
+        peg = build_peg(rand_program(8, 16, seed=900 + trial))
+        assert peg.graph.node_count == 3 * len(peg.variables)
+        for n in range(peg.graph.node_count):
+            var = peg.variables[n // 3]
+            assert peg.node(var, ExprForm(n % 3)) == n
+            assert peg.graph.name_of(n) == ("&", "", "*")[n % 3] + var.name
+
+
 def test_round_trip_statements():
     for trial in range(40):
         prog = rand_program(8, 16, seed=800 + trial)
@@ -95,7 +105,7 @@ def test_malformed_peg_is_rejected():
     bad_edges = set(peg.graph.edges) | {(1, "s", 0), (0, "-s", 1)}
     bad = PEG(
         LabeledDigraph(peg.graph.node_count, PEG_ALPHABET, bad_edges, peg.graph.node_names),
-        peg.expr_of,
+        peg.variables,
     )
     with pytest.raises(MalformedPegError):
         peg_statements(bad)

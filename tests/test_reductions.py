@@ -239,7 +239,7 @@ def test_gadget_chain_structure_of_the_full_profile():
             ]
             assert hops, (src, dst)
             for _, _, t_node in hops:
-                t_name = peg.expr_of[t_node][0].name
+                t_name = peg.variables[t_node // 3].name
                 chain = [
                     (u_var, "-d", var_node(uq.name, ExprForm.ADDR)),
                     (var_node(uq.name, ExprForm.ADDR), "-r", t_node),
@@ -255,7 +255,7 @@ def test_gadget_chain_structure_of_the_full_profile():
             hops = [e for e in edges if e[0] == u_var and e[1] == "r"]
             assert hops
             for _, _, taddr in hops:
-                t_name = peg.expr_of[taddr][0].name
+                t_name = peg.variables[taddr // 3].name
                 chain = [
                     (u_var, "r", taddr),
                     (taddr, "d", var_node(t_name, ExprForm.VAR)),
